@@ -4,34 +4,26 @@ The ROADMAP's two hot-loop items ("push the fast kernel further",
 "scale the hot loop further") meet here: one thread-churn monitoring
 configuration - mechanisms growing their clocks *and* a timestamping
 stage actually minting a stamp per event per mechanism - is executed
-three ways over the same stream:
+two ways over the same stream:
 
 * ``per-event`` - the classic loop: one Python call per event per layer;
-* ``batched`` + ``python`` backend - runs of consecutive inserts flow
-  through ``observe_batch`` / ``advance_batch`` with the slot-delta
-  pure-Python kernel loop;
-* ``batched`` + ``numpy`` backend (skipped when numpy is absent) - the
-  same pipeline with the kernel's working vectors array-resident.
+* ``batched`` - runs of consecutive inserts flow through
+  ``observe_batch`` / ``advance_batch`` with the slot-delta kernel loop.
 
 Assertions, in CI via ``--smoke``:
 
-* every variant produces the *identical* fingerprint - including the
-  per-label stamp digests, so the backends provably mint the same
+* both variants produce the *identical* fingerprint - including the
+  per-label stamp digests, so the two pipelines provably mint the same
   timestamps;
-* the chunked pipeline is never slower than per-event dispatch;
-* with the numpy backend available, the chunked pipeline clears the
-  acceptance bar: **>= 5x events/sec over the per-event path** at full
-  scale (>= 3x under ``--smoke``, where the 100k-event stream leaves
-  the resident-array cache less warm-up to amortise).  The pure-Python
-  chunked pipeline alone does not reach that on this merge-heavy
-  stream (random thread/object pairing defeats the slot-delta fast
-  paths; an O(k) element-wise max per event remains), which is exactly
-  why the numpy backend exists and why it is gated rather than
-  required.
+* the chunked pipeline is never slower than per-event dispatch.  On this
+  merge-heavy stream (random thread/object pairing defeats the
+  slot-delta fast paths, so an O(k) element-wise max per event remains)
+  that is the whole claim: the chunked loop removes dispatch overhead,
+  not the merge itself.
 
-A second test crosses ``{per-event, batched} x {python, numpy} x
---jobs {1, N}`` on a small engine run (offline optimum and sliding
-window included) and asserts one fingerprint for all combinations.
+A second test crosses ``{per-event, batched} x --workers {1, N}`` on a
+small engine run (offline optimum included) and asserts one fingerprint
+for all combinations.
 """
 
 from __future__ import annotations
@@ -40,7 +32,6 @@ import time
 
 import pytest
 
-from repro.core.kernel import numpy_available
 from repro.engine import EngineConfig, run_engine
 from repro.engine.results import EngineResult
 from repro.engine.runner import run_shard
@@ -51,22 +42,14 @@ from _common import (
     PIPELINE_CHUNK,
     PIPELINE_EVENTS,
     PIPELINE_MATRIX_EVENTS,
-    PIPELINE_MATRIX_JOBS,
+    PIPELINE_MATRIX_WORKERS,
     PIPELINE_NODES,
-    SMOKE,
 )
 
 #: The mechanism labels of the head-to-head: the paper's deterministic
 #: baseline, its popularity policy and the hybrid recipe - three clocks
 #: to grow and three timestamping streams to mint per event.
 MECHANISMS = ("naive", "popularity", "hybrid")
-
-#: The acceptance bar (chunked vs per-event, best available backend).
-#: Full scale is the resident-array target; the smoke stream is 12x
-#: shorter, so the cross-batch cache amortises less warm-up and the bar
-#: is correspondingly lower (measured ~5x smoke / ~6x full on an
-#: unloaded core; the slack absorbs shared-CI scheduling noise).
-SPEEDUP_BAR = 3.0 if SMOKE else 5.0
 
 BASE = dict(
     scenario="thread-churn",
@@ -82,9 +65,7 @@ BASE = dict(
     timestamps=True,
 )
 
-VARIANTS = [("per-event", "python"), ("batched", "python")] + (
-    [("batched", "numpy")] if numpy_available() else []
-)
+PIPELINES = ("per-event", "batched")
 
 
 def _single_shard_result(config: EngineConfig):
@@ -106,20 +87,20 @@ def _single_shard_result(config: EngineConfig):
 def test_batched_pipeline_speedup(benchmark, record_table, record_json):
     def run_all():
         runs = []
-        for pipeline, backend in VARIANTS:
-            config = EngineConfig(pipeline=pipeline, backend=backend, **BASE)
+        for pipeline in PIPELINES:
+            config = EngineConfig(pipeline=pipeline, **BASE)
             start = time.perf_counter()
             result = _single_shard_result(config)
-            runs.append((pipeline, backend, time.perf_counter() - start, result))
+            runs.append((pipeline, time.perf_counter() - start, result))
         return runs
 
     runs = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    fingerprints = {result.fingerprint() for _, _, _, result in runs}
+    fingerprints = {result.fingerprint() for _, _, result in runs}
     assert len(fingerprints) == 1, (
-        "pipeline/backend changed the merged metrics or stamp digests"
+        "the pipeline changed the merged metrics or stamp digests"
     )
-    reference = runs[0][3]
+    reference = runs[0][2]
     assert reference.inserts == PIPELINE_EVENTS
     for label in MECHANISMS:
         for (_, lbl), fragment in reference.partial.series.items():
@@ -127,33 +108,17 @@ def test_batched_pipeline_speedup(benchmark, record_table, record_json):
                 assert fragment.stamp_digest, "timestamping stage did not run"
 
     total_events = reference.inserts + reference.expires
-    rates = {
-        (pipeline, backend): total_events / elapsed
-        for pipeline, backend, elapsed, _ in runs
-    }
-    per_event_rate = rates[("per-event", "python")]
-    chunked_rates = {
-        backend: rate
-        for (pipeline, backend), rate in rates.items()
-        if pipeline == "batched"
-    }
-    best_backend, best_rate = max(chunked_rates.items(), key=lambda kv: kv[1])
+    rates = {pipeline: total_events / elapsed for pipeline, elapsed, _ in runs}
+    per_event_rate = rates["per-event"]
+    chunked_rate = rates["batched"]
 
     # The chunked pipeline must at least match per-event dispatch (0.95
     # allows scheduler noise on shared CI cores; measured ~1.4x with the
-    # run-chunked sharder), and with the numpy backend available it must
-    # clear the acceptance bar.
-    assert chunked_rates["python"] >= per_event_rate * 0.95, (
-        f"chunked python pipeline slower than per-event: "
-        f"{chunked_rates['python']:,.0f} vs {per_event_rate:,.0f} events/s"
+    # run-chunked sharder).
+    assert chunked_rate >= per_event_rate * 0.95, (
+        f"chunked pipeline slower than per-event: "
+        f"{chunked_rate:,.0f} vs {per_event_rate:,.0f} events/s"
     )
-    if numpy_available():
-        assert best_rate >= SPEEDUP_BAR * per_event_rate, (
-            f"chunked pipeline ({best_backend}) reached only "
-            f"{best_rate / per_event_rate:.2f}x of the per-event path "
-            f"({best_rate:,.0f} vs {per_event_rate:,.0f} events/s); "
-            f"acceptance requires >= {SPEEDUP_BAR}x"
-        )
 
     lines = [
         f"scenario: thread-churn  inserts: {PIPELINE_EVENTS:,}  "
@@ -162,35 +127,28 @@ def test_batched_pipeline_speedup(benchmark, record_table, record_json):
         f"fingerprint (identical for every variant): "
         f"{reference.fingerprint()[:16]}...",
         "",
-        f"{'pipeline':>10}  {'backend':>7}  {'seconds':>8}  "
-        f"{'events/s':>10}  {'speedup':>7}",
+        f"{'pipeline':>10}  {'seconds':>8}  {'events/s':>10}  {'speedup':>7}",
     ]
-    for pipeline, backend, elapsed, _ in runs:
-        rate = rates[(pipeline, backend)]
+    for pipeline, elapsed, _ in runs:
+        rate = rates[pipeline]
         lines.append(
-            f"{pipeline:>10}  {backend:>7}  {elapsed:>8.2f}  "
+            f"{pipeline:>10}  {elapsed:>8.2f}  "
             f"{rate:>10,.0f}  {rate / per_event_rate:>6.2f}x"
-        )
-    if not numpy_available():
-        lines.append(
-            "\n(numpy not installed: the gated backend is unavailable and "
-            f"the >={SPEEDUP_BAR}x acceptance assertion is deferred to the "
-            "numpy CI job)"
         )
     record_table("batched_pipeline", "\n".join(lines))
 
-    # Untimed fourth pass: the best chunked variant again, this time with
-    # the telemetry registry installed.  The timed legs above stay
+    # Untimed third pass: the chunked variant again, this time with the
+    # telemetry registry installed.  The timed legs above stay
     # telemetry-free (the published rates are the product); this pass
     # proves at benchmark scale that instrumentation does not move the
-    # fingerprint, and harvests the kernel/engine counters (cache
-    # hit-rate, array-path share, batch-size distribution) into the
-    # schema-v3 envelope's ``metrics`` block.
+    # fingerprint, and harvests the engine counters (batch-size
+    # distribution, spans) into the schema-v3 envelope's ``metrics``
+    # block.
     registry = MetricsRegistry(origin="bench")
     previous = install(registry)
     try:
         instrumented = _single_shard_result(
-            EngineConfig(pipeline="batched", backend=best_backend, **BASE)
+            EngineConfig(pipeline="batched", **BASE)
         )
     finally:
         install(previous)
@@ -206,17 +164,11 @@ def test_batched_pipeline_speedup(benchmark, record_table, record_json):
             "total_events": total_events,
             "nodes": PIPELINE_NODES,
             "mechanisms": list(MECHANISMS),
-            "numpy_available": numpy_available(),
-            "events_per_second": {
-                f"{pipeline}-{backend}": rates[(pipeline, backend)]
-                for pipeline, backend, _, _ in runs
-            },
+            "events_per_second": dict(rates),
             "speedup_vs_per_event": {
-                f"{pipeline}-{backend}": rates[(pipeline, backend)] / per_event_rate
-                for pipeline, backend, _, _ in runs
+                pipeline: rate / per_event_rate for pipeline, rate in rates.items()
             },
-            "best_chunked_backend": best_backend,
-            "best_chunked_speedup": best_rate / per_event_rate,
+            "chunked_speedup": chunked_rate / per_event_rate,
             "fingerprint": reference.fingerprint(),
         },
         metrics=metrics_document(registry),
@@ -225,37 +177,34 @@ def test_batched_pipeline_speedup(benchmark, record_table, record_json):
 
 @pytest.mark.benchmark(group="batched-pipeline")
 def test_pipeline_fingerprint_matrix(record_json):
-    """{per-event, batched} x {python, numpy} x --jobs: one fingerprint."""
-    backends = ["python"] + (["numpy"] if numpy_available() else [])
+    """{per-event, batched} x --workers: one fingerprint."""
     matrix = {}
-    for pipeline in ("per-event", "batched"):
-        for backend in backends:
-            for jobs in PIPELINE_MATRIX_JOBS:
-                config = EngineConfig(
-                    scenario="thread-churn",
-                    num_threads=40,
-                    num_objects=40,
-                    density=0.15,
-                    num_events=PIPELINE_MATRIX_EVENTS,
-                    seed=10_501,
-                    num_shards=4,
-                    chunk_size=max(1, PIPELINE_MATRIX_EVENTS // 8),
-                    mechanisms=("naive", "popularity"),
-                    include_offline=True,
-                    timestamps=True,
-                    pipeline=pipeline,
-                    backend=backend,
-                )
-                result = run_engine(config, jobs=jobs)
-                matrix[(pipeline, backend, jobs)] = result.fingerprint()
+    for pipeline in PIPELINES:
+        for workers in PIPELINE_MATRIX_WORKERS:
+            config = EngineConfig(
+                scenario="thread-churn",
+                num_threads=40,
+                num_objects=40,
+                density=0.15,
+                num_events=PIPELINE_MATRIX_EVENTS,
+                seed=10_501,
+                num_shards=4,
+                chunk_size=max(1, PIPELINE_MATRIX_EVENTS // 8),
+                mechanisms=("naive", "popularity"),
+                include_offline=True,
+                timestamps=True,
+                pipeline=pipeline,
+                workers=workers,
+            )
+            matrix[(pipeline, workers)] = run_engine(config).fingerprint()
     assert len(set(matrix.values())) == 1, matrix
     record_json(
         "pipeline_fingerprint_matrix",
         {
             "events": PIPELINE_MATRIX_EVENTS,
             "combinations": [
-                {"pipeline": p, "backend": b, "jobs": j, "fingerprint": fp}
-                for (p, b, j), fp in sorted(matrix.items())
+                {"pipeline": p, "workers": w, "fingerprint": fp}
+                for (p, w), fp in sorted(matrix.items())
             ],
             "identical": True,
         },

@@ -3,18 +3,17 @@
 The ROADMAP's scaling item asks for a benchmark that pushes the dynamic
 streaming machinery to millions of events; this is it.  One thread-churn
 configuration (1.2M inserts in the full run, shrunken under ``--smoke``)
-is executed serially (the legacy one-task-per-shard ``jobs=1`` mode,
-which regenerates the stream once per *shard*) and then at increasing
-``workers`` pool sizes (one shard group and one stream pass per
-*worker*); the table reports events/sec per leg plus the speedup over
-serial.  One old-style ``jobs=2`` leg rides along so the cross-mode
-fingerprint identity stays measured, not assumed.
+is executed serially one shard at a time (:func:`run_shard` per shard
+plus :func:`merge_partials`, which regenerates the stream once per
+*shard*) and then at increasing ``workers`` pool sizes (one shard group
+and one stream pass per *worker*); the table reports events/sec per leg
+plus the speedup over serial.
 
 Two properties are asserted while the numbers are collected:
 
-* every leg - serial, every ``workers`` value, old-style ``jobs`` -
-  produces a bit-identical merged result (the engine's central
-  determinism contract; the fingerprint is the proof);
+* every leg - serial and every ``workers`` value - produces a
+  bit-identical merged result (the engine's central determinism
+  contract; the fingerprint is the proof);
 * above :data:`SPEEDUP_ASSERT_FLOOR` inserts per shard, the best
   ``workers`` leg must clear :data:`MIN_WORKER_SPEEDUP` (2x serial) -
   and :data:`MIN_WORKER_SPEEDUP_MULTICORE` (3x) when the machine has
@@ -57,7 +56,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.engine import EngineConfig, run_engine
+from repro.engine import (
+    EngineConfig,
+    EngineResult,
+    merge_partials,
+    run_engine,
+    run_shard,
+)
 from repro.obs.exporters import metrics_document
 from repro.obs.registry import MetricsRegistry, install as obs_install
 
@@ -77,8 +82,8 @@ from _common import (
 SPEEDUP_ASSERT_FLOOR = 10_000
 
 #: The scaling bar asserted on the best ``workers`` leg of a
-#: full-scale run: one stream pass per worker must beat the legacy
-#: one-pass-per-shard serial mode by at least this much.
+#: full-scale run: one stream pass per worker must beat the
+#: one-pass-per-shard serial baseline by at least this much.
 MIN_WORKER_SPEEDUP = 2.0
 
 #: The stricter bar when real parallelism is available (>= 4 cores):
@@ -97,9 +102,24 @@ CONFIG = EngineConfig(
 )
 
 
-def _timed_leg(label, config, jobs=1):
+def _per_shard_serial(config):
+    """The serial baseline: one :func:`run_shard` pass per shard, merged."""
+    partials = [run_shard(config, shard) for shard in range(config.num_shards)]
+    return EngineResult(
+        scenario=config.scenario,
+        num_shards=config.num_shards,
+        strategy=config.strategy,
+        seed=config.seed,
+        window=config.window,
+        chunk_size=config.chunk_size,
+        mechanisms=config.mechanisms,
+        partial=merge_partials(partials),
+    )
+
+
+def _timed_leg(label, run):
     start = time.perf_counter()
-    result = run_engine(config, jobs=jobs)
+    result = run()
     return label, time.perf_counter() - start, result
 
 
@@ -123,12 +143,12 @@ def _instrumented_metrics(workers: int) -> dict:
 @pytest.mark.benchmark(group="engine-scaling")
 def test_engine_scaling_events_per_second(benchmark, record_table, record_json):
     def run_all():
-        runs = [_timed_leg("serial", CONFIG, jobs=1)]
+        runs = [_timed_leg("serial", lambda: _per_shard_serial(CONFIG))]
         for workers in ENGINE_WORKERS:
+            config = replace(CONFIG, workers=workers)
             runs.append(
-                _timed_leg(f"workers={workers}", replace(CONFIG, workers=workers))
+                _timed_leg(f"workers={workers}", lambda: run_engine(config))
             )
-        runs.append(_timed_leg("jobs=2", CONFIG, jobs=2))
         return runs
 
     runs = benchmark.pedantic(run_all, rounds=1, iterations=1)

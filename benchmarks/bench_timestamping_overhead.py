@@ -7,8 +7,8 @@ measuring (a) wall-clock cost per full-trace timestamping pass and (b) the
 storage cost (integers kept across all event timestamps), which scales
 linearly with the clock dimension the paper minimises.
 The batched entry point (``ClockKernel.timestamp_batch``) is measured
-against the per-event loop on the same trace for every available kernel
-backend, asserting stamp bit-identity while the rates are collected.
+against the per-event loop on the same trace, asserting stamp
+bit-identity while the rates are collected.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.computation import (
 )
 from repro.core import timestamp_with_object_clock, timestamp_with_thread_clock
 from repro.core.components import ClockComponents
-from repro.core.kernel import ClockKernel, available_backends
+from repro.core.kernel import ClockKernel
 from repro.offline import optimal_components_for_computation, timestamp_offline
 
 from _common import write_result
@@ -88,13 +88,12 @@ def test_record_storage_overhead(benchmark, record_table):
 
 @pytest.mark.benchmark(group="timestamping-overhead")
 def test_kernel_batch_vs_per_event(benchmark, record_table, record_json):
-    """`timestamp_batch` vs per-event `observe`, per backend, bit-identical.
+    """`timestamp_batch` vs per-event `observe`, bit-identical.
 
     Uses a wide work-stealing trace (256 thread components): the batch
-    paths exist for the large-clock regime the paper targets - at a
+    path exists for the large-clock regime the paper targets - at a
     dozen slots the per-event loop is already allocation-bound and no
-    batching can help, which is also why the numpy backend gates itself
-    on clock dimension.  No speedup is asserted here (micro-timings on
+    batching can help.  No speedup is asserted here (micro-timings on
     shared CI cores are noise); the identity of every minted stamp is.
     """
     trace = work_stealing_trace(num_workers=256, tasks_per_worker=30, seed=61)
@@ -108,16 +107,13 @@ def test_kernel_batch_vs_per_event(benchmark, record_table, record_json):
         # predecessors' retained Timestamp objects and the comparison
         # degrades monotonically with position.
         runs = {}
-        variants = [("per-event", None)] + [
-            (f"batch-{backend}", backend) for backend in available_backends()
-        ]
-        for variant, backend in variants:
+        for variant in ("per-event", "batch"):
             best = None
             values = None
             for _ in range(3):  # best-of-3: scheduler noise dwarfs 0.2s runs
-                kernel = ClockKernel(components, backend=backend)
+                kernel = ClockKernel(components)
                 gc.collect()
-                if backend is None:
+                if variant == "per-event":
                     observe = kernel.observe
                     start = time.perf_counter()
                     stamps = [observe(thread, obj) for thread, obj in pairs]

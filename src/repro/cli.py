@@ -14,7 +14,7 @@ python -m repro sweep ratio --window 200     # burn-in vs steady-state ratios
 python -m repro sweep ratio --jobs 4         # same numbers, four workers
 python -m repro sweep ratio --epoch 200 \
     --mechanisms popularity,adaptive-popularity   # adaptive vs append-only
-python -m repro engine run --scenario thread-churn --jobs 4 \
+python -m repro engine run --scenario thread-churn \
     --events 1000000 --checkpoint-dir ckpt   # sharded, resumable runs
 python -m repro engine run --scenario thread-churn --workers 2 \
     --events 1000000                         # pooled: one stream pass/worker
@@ -52,16 +52,9 @@ from repro.analysis import (
 from repro.computation import GRAPH, HappenedBefore, REGISTRY, STREAM, TRACE
 from repro.computation.serialization import dump_computation, load_computation
 from repro.computation.workloads import paper_example_trace
-from repro.core.kernel import NUMPY_BACKEND, PYTHON_BACKEND
-from repro.core.timestamping import ROTATION_STRATEGIES
 from repro.engine import EngineConfig, run_engine
 from repro.engine.runner import PIPELINES as ENGINE_PIPELINES
 from repro.engine.sharding import STRATEGIES as ENGINE_STRATEGIES
-
-#: Kernel backend choices offered by the CLI.  Both names are always
-#: *offered* (so help text is stable); selecting ``numpy`` without numpy
-#: installed fails with a clean gate error from the kernel layer.
-KERNEL_BACKENDS = (PYTHON_BACKEND, NUMPY_BACKEND)
 from repro.exceptions import ReproError
 from repro.lint.cli import add_lint_arguments, cmd_lint
 from repro.obs import MetricsRegistry, install as obs_install
@@ -179,15 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         "to the per-event default",
     )
     sweep.add_argument(
-        "--backend", choices=list(KERNEL_BACKENDS), default=None,
-        help="kernel backend pinned (and restored after) in every "
-        "ratio-sweep worker; validated up front.  Pinning also adds a "
-        "dense-stamp leg per trial - the stream is re-driven through a "
-        "LifecycleClockDriver minting a timestamp per insert - so the "
-        "selected backend does real timestamping work (numpy stays "
-        "optional and gated; sweep numbers are identical for every choice)",
-    )
-    sweep.add_argument(
         "--metrics", default=None, metavar="PATH",
         help="write the ratio sweep's telemetry (spans, counters) as a "
         "metrics JSON document; telemetry never changes a sweep number",
@@ -202,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
             "optimum per shard (serially or on a process pool), and merges\n"
             "partial metrics deterministically: for a fixed configuration the\n"
             "printed result - including its fingerprint - is bit-identical\n"
-            "across --jobs values and interrupt/resume cycles.\n\n"
+            "across --workers values and interrupt/resume cycles.\n\n"
             "Registered stream scenarios:\n" + REGISTRY.describe(STREAM)
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -215,20 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", choices=REGISTRY.names(STREAM), required=True
     )
     engine_run.add_argument(
-        "--jobs", type=int, default=1,
-        help="one-task-per-shard worker processes (never changes the "
-        "numbers, only the wall-clock); see --workers for the pooled mode",
-    )
-    engine_run.add_argument(
-        "--workers", type=int, default=None,
-        help="worker-pool size: shards are dealt into this many contiguous "
-        "groups and each pool worker generates the stream ONCE for all "
-        "its shards (mutually exclusive with --jobs > 1; like --jobs it "
-        "never changes the numbers)",
+        "--workers", type=int, default=1,
+        help="worker processes: shards are dealt into this many contiguous "
+        "groups and each worker generates the stream ONCE for all its "
+        "shards (default 1: one in-process pass; never changes the numbers)",
     )
     engine_run.add_argument(
         "--shards", type=int, default=8,
-        help="logical shards; part of the run's identity, unlike --jobs",
+        help="logical shards; part of the run's identity, unlike --workers",
     )
     engine_run.add_argument(
         "--events", type=int, default=20_000, help="insert events in the base stream"
@@ -287,19 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         "identical for both",
     )
     engine_run.add_argument(
-        "--backend", choices=list(KERNEL_BACKENDS), default=None,
-        help="kernel backend for the timestamping stage (numpy is gated "
-        "on being importable; stamps are bit-identical across backends)",
-    )
-    engine_run.add_argument(
-        "--rotation", choices=list(ROTATION_STRATEGIES), default=None,
-        help="epoch-rotation strategy pinned inside every shard task "
-        "(delta = project live stamps on pure retirements, replay = "
-        "re-stamp the window; default: the process default, normally "
-        "delta).  Execution-only - fingerprints are bit-identical across "
-        "strategies",
-    )
-    engine_run.add_argument(
         "--timestamps", action="store_true",
         help="mint real per-event timestamps per mechanism and carry a "
         "per-label stamp digest under the fingerprint (append-only "
@@ -307,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine_run.add_argument(
         "--metrics", default=None, metavar="PATH",
-        help="write run telemetry (kernel cache hit rates, per-shard "
-        "loads, epoch-rotation latency percentiles, spans) as a metrics "
+        help="write run telemetry (per-shard loads, stream-generation "
+        "time, epoch-rotation latency percentiles, spans) as a metrics "
         "JSON document; the fingerprint is bit-identical with and "
         "without telemetry",
     )
@@ -352,10 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
             "determinism rules (D1xx: hash-order set iteration, builtin "
             "hash(), global random state, wall-clock reads, unsorted "
             "directory listings, completion-order collection) and contract "
-            "rules (C2xx: observe_batch fallback guard, kernel backend "
-            "surface, EngineConfig signature membership, scenario seed "
-            "threading).  Exit 0 when clean or fully baselined, 1 on "
-            "active findings."
+            "rules (C2xx: observe_batch fallback guard, EngineConfig "
+            "signature membership, scenario seed threading, telemetry "
+            "write-only result paths).  Exit 0 when clean or fully "
+            "baselined, 1 on active findings."
         ),
     )
     add_lint_arguments(lint)
@@ -446,10 +411,8 @@ def _cmd_engine(args: argparse.Namespace) -> int:
         checkpoint_dir=args.checkpoint_dir,
         trajectory_stride=args.stride,
         pipeline=args.pipeline,
-        backend=args.backend,
         timestamps=args.timestamps,
         workers=args.workers,
-        rotation=args.rotation,
     )
     # One timing mechanism for the whole CLI: a telemetry registry is
     # always installed around the run (its disabled/enabled state never
@@ -458,21 +421,18 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     # ad-hoc perf_counter pair.
     registry = MetricsRegistry(origin="engine")
     previous = obs_install(registry)
-    schedule = (
-        f"workers={args.workers}" if args.workers is not None
-        else f"jobs={args.jobs}"
-    )
+    schedule = f"workers={config.workers}"
     try:
         with registry.span(
-            "cli.engine_run", jobs=args.jobs, scenario=args.scenario
+            "cli.engine_run", workers=config.workers, scenario=args.scenario
         ) as timer:
-            result = run_engine(config, jobs=args.jobs)
+            result = run_engine(config)
     finally:
         obs_install(previous)
     elapsed = timer.duration
     # The report is a pure function of the configuration (the bit-identity
     # contract); wall-clock facts go to stderr so stdout stays comparable
-    # across --jobs values.
+    # across --workers values.
     print(result.format())
     if args.skew_warn > 0:
         skew = result.shard_skew()
@@ -609,7 +569,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     epoch=args.epoch,
                     labels=labels,
                     batch_size=args.batch_size,
-                    backend=args.backend,
                 )
         finally:
             obs_install(previous)

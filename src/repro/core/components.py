@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ComponentError
-from repro.graph.bipartite import BipartiteGraph, Vertex
+from repro.graph.bipartite import BipartiteGraph, Vertex, vertex_sort_key
 
 
 class ClockComponents:
@@ -79,8 +79,15 @@ class ClockComponents:
         """Components from a vertex cover of a thread-object bipartite graph.
 
         Each cover vertex is classified as a thread or an object component
-        according to which side of ``graph`` it lives on.
+        according to which side of ``graph`` it lives on.  Slots follow
+        the cover's iteration order, except that an unordered cover (a
+        ``set`` / ``frozenset``, as the König construction returns) is
+        taken in canonical :func:`~repro.graph.bipartite.vertex_sort_key`
+        order, so the printed slot order never depends on
+        ``PYTHONHASHSEED``.
         """
+        if isinstance(cover, (set, frozenset)):
+            cover = sorted(cover, key=vertex_sort_key)
         thread_components = []
         object_components = []
         for vertex in cover:

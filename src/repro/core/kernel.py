@@ -36,62 +36,30 @@ event - :meth:`ClockKernel.rotate_epoch_delta` replaces the replay with
 an ``O(live)`` slot *projection* of the surviving clock vectors;
 ``EpochClock.rotate`` owns the applicability gate and the fallback.
 
-Backends
---------
+Batch entry points
+------------------
 Per-event :meth:`ClockKernel.observe` pays Python-interpreter overhead
 per event no matter how lean the update rule is, so the kernel also has
 *batch* entry points - :meth:`ClockKernel.timestamp_batch` (mint one
 timestamp per event) and :meth:`ClockKernel.advance_batch` (advance the
-clocks and fold a digest, minting nothing) - whose inner loop is
-supplied by a pluggable :class:`KernelBackend`:
-
-* ``python`` (:class:`PythonKernelBackend`, always available) - the
-  batch loop keeps the working clock vectors as plain lists and applies
-  *slot-delta* derivation on the hot path: whenever one operand of the
-  merge is absent or the two endpoints already share one stamp, the new
-  vector is a C-speed copy of the previous one with the one or two
-  incremented slots bumped, skipping the ``O(k)`` Python-level
-  element-wise maximum entirely;
-* ``numpy`` (:class:`NumpyKernelBackend`, **gated**: selectable only
-  when numpy imports, never required) - working vectors are *resident*
-  ``int64`` arrays that persist across batches in an
-  :class:`_ArrayCache` hung off the kernel, so the merge is a single C
-  call (``np.maximum``) and a touched entity is converted from tuple
-  form at most once per epoch, not once per batch; minted stamps are
-  lazy :class:`_ArrayStamp` handles that materialise an exact
-  Python-int tuple only on first ``_values`` access, so digest-only
-  drivers (the engine's ``timestamps`` mode, the ``advance_batch``
-  fold paths, which read their slot values straight off the resident
-  arrays) never pay tuple construction at all.  Every materialised
-  timestamp - and therefore every causal verdict - is bit-identical to
-  the pure-Python derivation; the property-test suite asserts that
-  identity on random computations.
-
-Cache coherence is a *contract*, not a convention: any
-:class:`ClockKernel` method that mutates component layout or clock
-values must call an invalidation hook
-(:meth:`ClockKernel._invalidate_cache` / :meth:`ClockKernel._cache_evict`,
-or assign ``self._cache`` directly) or be listed in
-:data:`CACHE_SAFE_METHODS` with its justification.  Lint rule C205
-enforces this statically; the hypothesis suite asserts cached/uncached
-bit-identity across the invalidation edges (component extension, epoch
-rotation, checkpoint/resume, backend switches).
-
-Backend selection: an explicit argument to :class:`ClockKernel` wins,
-then :func:`set_default_backend`, then the ``REPRO_KERNEL_BACKEND``
-environment variable, then ``python``.  Requesting ``numpy`` without
-numpy installed raises a clean :class:`~repro.exceptions.ClockError`.
+clocks and fold a digest, minting nothing).  Their loops hoist the
+attribute lookups out of the per-event body and apply *slot-delta*
+derivation on the hot path: whenever one operand of the merge is absent
+or the two endpoints already share one stamp, the new vector is a
+C-speed copy of the previous one with the one or two incremented slots
+bumped, skipping the ``O(k)`` Python-level element-wise maximum
+entirely.  Both are bit-identical to a sequential :meth:`observe` loop;
+the property-test suite asserts that identity on random computations.
 """
 
 from __future__ import annotations
 
-import os
 from operator import itemgetter
 from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.clock import Timestamp
 from repro.core.components import ClockComponents
-from repro.exceptions import ClockError, ComponentError
+from repro.exceptions import ComponentError
 from repro.graph.bipartite import Vertex
 
 # Telemetry write handle (stdlib-only import; repro.obs deliberately
@@ -99,34 +67,6 @@ from repro.graph.bipartite import Vertex
 # batch-granularity pattern: fetch once, guard on ``is not None``, so
 # the disabled cost never lands on a per-event path.
 from repro.obs.registry import active as _metrics_active
-
-try:  # The gate: numpy is an optional accelerator, never a requirement.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
-#: Backend names.
-PYTHON_BACKEND = "python"
-NUMPY_BACKEND = "numpy"
-
-#: :class:`ClockKernel` methods that touch component layout or clock
-#: values but are exempt from lint rule C205's invalidation-hook
-#: requirement, each with the reason the resident-array cache stays
-#: coherent without a hook.  Keep the justifications current: the lint
-#: rule only checks membership, reviewers check the reasoning.
-CACHE_SAFE_METHODS = (
-    # Component growth is pure append (ClockComponents.extended keeps old
-    # threads a prefix of the thread block and old objects a prefix of the
-    # object block), so cached arrays stay valid under the deferred
-    # pad-on-read transform _ArrayCache.sync applies at the next batch;
-    # nothing to invalidate.  The non-append defensive path invalidates
-    # inside _rebase_stamps.
-    "extend_components",
-    # Rebinds the slot maps / zero stamp to a component set; it mutates no
-    # clock values itself, and every mutating caller (rotate_epoch,
-    # extend_components via _rebase_stamps) owns its cache decision.
-    "_bind_components",
-)
 
 #: 64-bit mixing constants of the stamp-digest fold (FNV prime / Knuth).
 _FOLD_MASK = (1 << 64) - 1
@@ -140,7 +80,7 @@ def fold_stamp_values(fold: int, thread_value: int, object_value: int) -> int:
     for every stamped event it absorbs the post-increment values of the
     event's thread and object slots (0 for an absent side).  Any
     divergence in the clock state propagates into some later event's
-    incremented slots, so pipelines, backends and worker layouts that
+    incremented slots, so pipelines and worker layouts that
     disagree on any stamp disagree on the digest.  Pure ints, cheap, and
     picklable - the property that lets the sharded engine carry it
     through checkpoints.
@@ -205,8 +145,8 @@ class _ProjectedStamp(Timestamp):
     (composing index maps costs the same ``O(k)`` per link as gathering
     values), and collapse cohorts are too small to amortise it, so a
     cap just smears the eager-rotation bill the chain exists to avoid.
-    Like :class:`_ArrayStamp`, the wrapper *is* a :class:`Timestamp`
-    (same comparisons, same accessors) and pickles as the plain
+    The wrapper *is* a :class:`Timestamp` (same comparisons, same
+    accessors) and pickles as the plain
     materialised stamp it stands for.
     """
 
@@ -287,75 +227,176 @@ def rebase_timestamp(
     return Timestamp._from_trusted(new_components, values)
 
 
-# ---------------------------------------------------------------------------
-# Batch backends
-# ---------------------------------------------------------------------------
-class KernelBackend:
-    """Strategy supplying the kernel's batch inner loop.
+def _write_back_lists(components, thread_work, object_work,
+                      thread_stamps, object_stamps) -> None:
+    """Mint one Timestamp per unique working vector and store it.
 
-    Backends are stateless between calls: all clock state lives in the
-    :class:`ClockKernel`, batch-scoped working representations are built
-    on entry and written back before returning (also on error, so a
-    strict-mode :class:`~repro.exceptions.ComponentError` raised mid-batch
-    leaves exactly the events before it applied - the same prefix a
-    sequential ``observe`` loop would have left).  Statelessness is also
-    what makes kernels picklable across backends: a backend pickles as
-    its name.
+    The identity cache preserves stamp *sharing*: when a thread and an
+    object ended the batch on the same vector (they were endpoints of
+    the same last event), they get the same Timestamp instance, which is
+    what the ``object_stamp is thread_stamp`` per-event fast path and
+    the rebase cache key on.  Working vectors stay referenced by the
+    work dicts until this completes, so ``id`` keys cannot be recycled.
+    """
+    minted: Dict[int, Timestamp] = {}
+    from_trusted = Timestamp._from_trusted
+    for vertex, values in thread_work.items():
+        key = id(values)
+        stamp = minted.get(key)
+        if stamp is None:
+            stamp = from_trusted(components, tuple(values))
+            minted[key] = stamp
+        thread_stamps[vertex] = stamp
+    for vertex, values in object_work.items():
+        key = id(values)
+        stamp = minted.get(key)
+        if stamp is None:
+            stamp = from_trusted(components, tuple(values))
+            minted[key] = stamp
+        object_stamps[vertex] = stamp
+
+
+class ClockKernel:
+    """Mutable per-thread / per-object clock state for one protocol run.
+
+    Parameters
+    ----------
+    components:
+        The clock's component set; fixes the vector dimension and the slot
+        index of every component.
+    strict:
+        When ``True`` (the default), observing an operation whose thread
+        and object are both outside the component set raises
+        :class:`ComponentError`; when ``False`` the operation is merged but
+        not incremented (see ``VectorClockProtocol`` for why that loses the
+        vector clock property).
     """
 
-    name = "abstract"
+    __slots__ = (
+        "_components",
+        "_strict",
+        "_zero",
+        "_thread_slot",
+        "_object_slot",
+        "_thread_stamps",
+        "_object_stamps",
+        "_epoch",
+        "_retired_total",
+    )
+
+    def __init__(self, components: ClockComponents, strict: bool = True) -> None:
+        self._strict = strict
+        self._epoch = 0
+        self._retired_total = 0
+        self._thread_stamps: Dict[Vertex, Timestamp] = {}
+        self._object_stamps: Dict[Vertex, Timestamp] = {}
+        self._bind_components(components)
+
+    def _bind_components(self, components: ClockComponents) -> None:
+        """Point the kernel at ``components``: slot maps and the zero stamp."""
+        self._components = components
+        self._zero = Timestamp.zero(components)
+        thread_set = components.thread_components
+        object_set = components.object_components
+        self._thread_slot: Dict[Vertex, int] = {
+            c: i for i, c in enumerate(components.ordered) if c in thread_set
+        }
+        self._object_slot: Dict[Vertex, int] = {
+            c: i for i, c in enumerate(components.ordered) if c in object_set
+        }
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
+    @property
+    def components(self) -> ClockComponents:
+        return self._components
+
+    @property
+    def epoch(self) -> int:
+        """How many times :meth:`rotate_epoch` has been applied."""
+        return self._epoch
+
+    @property
+    def retired_total(self) -> int:
+        """Total components retired across all epoch rotations so far."""
+        return self._retired_total
+
+    def thread_stamp(self, thread: Vertex) -> Timestamp:
+        """Current clock of ``thread`` as an immutable timestamp."""
+        return self._thread_stamps.get(thread, self._zero)
+
+    def object_stamp(self, obj: Vertex) -> Timestamp:
+        """Current clock of ``obj`` as an immutable timestamp."""
+        return self._object_stamps.get(obj, self._zero)
+
+    # ------------------------------------------------------------------
+    # The update rule
+    # ------------------------------------------------------------------
+    def observe(self, thread: Vertex, obj: Vertex) -> Timestamp:
+        """Apply the update rule for one operation and return its timestamp.
+
+        One list, one tuple and one :class:`Timestamp` are allocated per
+        covered event; nothing is re-validated.
+        """
+        thread_stamp = self._thread_stamps.get(thread)
+        object_stamp = self._object_stamps.get(obj)
+        object_slot = self._object_slot.get(obj)
+        thread_slot = self._thread_slot.get(thread)
+
+        if thread_slot is None and object_slot is None:
+            if self._strict:
+                raise ComponentError(
+                    f"operation ({thread!r}, {obj!r}) is not covered by the "
+                    f"clock components"
+                )
+            # Merge-only (no increment): the degenerate non-strict path.
+            stamp = self._merge_only(thread_stamp, object_stamp)
+            self._thread_stamps[thread] = stamp
+            self._object_stamps[obj] = stamp
+            return stamp
+
+        if thread_stamp is None:
+            values = list(object_stamp._values) if object_stamp is not None else [
+                0
+            ] * self._components.size
+        elif object_stamp is None or object_stamp is thread_stamp:
+            values = list(thread_stamp._values)
+        else:
+            values = [
+                a if a >= b else b
+                for a, b in zip(thread_stamp._values, object_stamp._values)
+            ]
+        if object_slot is not None:
+            values[object_slot] += 1
+        if thread_slot is not None:
+            values[thread_slot] += 1
+        stamp = Timestamp._from_trusted(self._components, tuple(values))
+        self._thread_stamps[thread] = stamp
+        self._object_stamps[obj] = stamp
+        return stamp
 
     def timestamp_batch(
-        self, kernel: "ClockKernel", pairs: Sequence[Tuple[Vertex, Vertex]]
+        self, pairs: Sequence[Tuple[Vertex, Vertex]]
     ) -> List[Timestamp]:
-        raise NotImplementedError
+        """Apply the update rule to a whole chunk; one timestamp per event.
 
-    def advance_batch(
-        self,
-        kernel: "ClockKernel",
-        pairs: Sequence[Tuple[Vertex, Vertex]],
-        fold: int,
-    ) -> int:
-        raise NotImplementedError
-
-    def __reduce__(self):
-        # Checkpoints must stay loadable anywhere: a shard pickled under
-        # the numpy backend unpickles on a numpy-less host as the python
-        # backend (bit-identical by contract) instead of failing the
-        # whole resume; the resuming run re-pins its own --backend right
-        # after loading anyway.
-        return (_backend_from_checkpoint, (self.name,))
-
-
-class PythonKernelBackend(KernelBackend):
-    """The always-available pure-Python batch loop (slot-delta hot path)."""
-
-    name = PYTHON_BACKEND
-
-    def timestamp_batch(self, kernel, pairs):
-        # Minting a Timestamp per event needs a fresh tuple per event
-        # anyway, so the minted stamps themselves are the working state:
-        # this is observe() with the attribute lookups hoisted out of the
-        # loop and the slot-delta fast paths applied to the tuples.
-        #
-        # Cache coherence (C205): this loop replaces stamps without going
-        # through the resident-array cache, so any cached vectors for the
-        # touched endpoints go stale - evict them up front.  When the
-        # kernel never ran an array batch the cache is None and this is a
-        # single attribute load.
-        cache = kernel._cache
-        if cache is not None:
-            cache.evict_pairs(pairs)
-        registry = _metrics_active()
-        if registry is not None:
-            registry.add("kernel.batch.python_batches")
-            registry.add("kernel.batch.python_events", len(pairs))
-        components = kernel._components
+        Bit-identical to calling :meth:`observe` per pair (the property
+        tests assert it), but slot lookups and stamp allocation are
+        amortised over the batch instead of being re-paid per Python
+        call: this is :meth:`observe` with the attribute lookups hoisted
+        out of the loop and the slot-delta fast paths applied to the
+        tuples.  The minted stamps themselves are the working state,
+        since minting needs a fresh tuple per event anyway.  On a
+        strict-mode coverage error the events preceding the offender are
+        applied, exactly as a sequential loop would have left them.
+        """
+        components = self._components
         size = components.size
-        thread_slots = kernel._thread_slot
-        object_slots = kernel._object_slot
-        thread_stamps = kernel._thread_stamps
-        object_stamps = kernel._object_stamps
+        thread_slots = self._thread_slot
+        object_slots = self._object_slot
+        thread_stamps = self._thread_stamps
+        object_stamps = self._object_stamps
         from_trusted = Timestamp._from_trusted
         stamps: List[Timestamp] = []
         append = stamps.append
@@ -365,12 +406,12 @@ class PythonKernelBackend(KernelBackend):
             object_slot = object_slots.get(obj)
             thread_slot = thread_slots.get(thread)
             if thread_slot is None and object_slot is None:
-                if kernel._strict:
+                if self._strict:
                     raise ComponentError(
                         f"operation ({thread!r}, {obj!r}) is not covered by "
                         f"the clock components"
                     )
-                stamp = kernel._merge_only(thread_stamp, object_stamp)
+                stamp = self._merge_only(thread_stamp, object_stamp)
                 thread_stamps[thread] = stamp
                 object_stamps[obj] = stamp
                 append(stamp)
@@ -397,29 +438,30 @@ class PythonKernelBackend(KernelBackend):
             append(stamp)
         return stamps
 
-    def advance_batch(self, kernel, pairs, fold):
-        # The digest-only loop keeps working vectors as plain lists
-        # (frozen by convention once shared) and mints nothing: stamps
-        # for the touched entities are materialised once at the batch
-        # boundary, preserving the thread/object stamp *sharing* the
-        # per-event fast path depends on.
-        #
-        # Cache coherence (C205): same up-front eviction as
-        # timestamp_batch - this loop's write-back bypasses the
-        # resident-array cache.
-        cache = kernel._cache
-        if cache is not None:
-            cache.evict_pairs(pairs)
-        registry = _metrics_active()
-        if registry is not None:
-            registry.add("kernel.batch.python_batches")
-            registry.add("kernel.batch.python_events", len(pairs))
-        components = kernel._components
+    def advance_batch(
+        self, pairs: Sequence[Tuple[Vertex, Vertex]], fold: int = 0
+    ) -> int:
+        """Advance the clocks over a chunk without minting timestamps.
+
+        The engine's hot path: per-thread/object clock state ends up
+        exactly as after :meth:`timestamp_batch`, but no per-event
+        :class:`Timestamp` is materialised - the returned value is
+        ``fold`` advanced by :func:`fold_stamp_values` for every event,
+        the digest the sharded engine carries into its fingerprint.
+
+        The loop keeps working vectors as plain lists (frozen by
+        convention once shared) and mints stamps for the touched
+        entities once, at the batch boundary, preserving the
+        thread/object stamp *sharing* the per-event fast path depends
+        on - also on a strict-mode error, which leaves the events before
+        the offender applied.
+        """
+        components = self._components
         size = components.size
-        thread_slots = kernel._thread_slot
-        object_slots = kernel._object_slot
-        thread_stamps = kernel._thread_stamps
-        object_stamps = kernel._object_stamps
+        thread_slots = self._thread_slot
+        object_slots = self._object_slot
+        thread_stamps = self._thread_stamps
+        object_stamps = self._object_stamps
         thread_work: Dict[Vertex, list] = {}
         object_work: Dict[Vertex, list] = {}
         try:
@@ -437,7 +479,7 @@ class PythonKernelBackend(KernelBackend):
                 object_slot = object_slots.get(obj)
                 thread_slot = thread_slots.get(thread)
                 if thread_slot is None and object_slot is None:
-                    if kernel._strict:
+                    if self._strict:
                         raise ComponentError(
                             f"operation ({thread!r}, {obj!r}) is not covered "
                             f"by the clock components"
@@ -504,762 +546,6 @@ class PythonKernelBackend(KernelBackend):
                 components, thread_work, object_work, thread_stamps, object_stamps
             )
         return fold
-
-
-def _write_back_lists(components, thread_work, object_work,
-                      thread_stamps, object_stamps) -> None:
-    """Mint one Timestamp per unique working vector and store it.
-
-    The identity cache preserves stamp *sharing*: when a thread and an
-    object ended the batch on the same vector (they were endpoints of
-    the same last event), they get the same Timestamp instance, which is
-    what the ``object_stamp is thread_stamp`` per-event fast path and
-    the rebase cache key on.  Working vectors stay referenced by the
-    work dicts until this completes, so ``id`` keys cannot be recycled.
-    """
-    minted: Dict[int, Timestamp] = {}
-    from_trusted = Timestamp._from_trusted
-    for vertex, values in thread_work.items():
-        key = id(values)
-        stamp = minted.get(key)
-        if stamp is None:
-            stamp = from_trusted(components, tuple(values))
-            minted[key] = stamp
-        thread_stamps[vertex] = stamp
-    for vertex, values in object_work.items():
-        key = id(values)
-        stamp = minted.get(key)
-        if stamp is None:
-            stamp = from_trusted(components, tuple(values))
-            minted[key] = stamp
-        object_stamps[vertex] = stamp
-
-
-class _ArrayCache:
-    """Cross-batch resident ``int64`` working vectors of one kernel.
-
-    Maps touched threads/objects to the array holding their current
-    clock, so consecutive batches re-enter the numpy inner loop with a
-    dict lookup instead of a tuple-to-array conversion per touched
-    entity.  One *layout tag* (``born_threads``, ``born_size``) covers
-    every stored array: arrays only enter the cache at write-back, which
-    always happens right after :meth:`sync`, so they all share the
-    layout the kernel had at that moment.
-
-    Component growth is **deferred pad-on-read**: ``extend_components``
-    does not touch the cache (see :data:`CACHE_SAFE_METHODS`); the next
-    batch's :meth:`sync` notices the layout drift - two integer
-    compares on the hot path - and simply forgets the stale arrays.
-    Entities actually touched afterwards are rebuilt lazily, one pad
-    each, straight from their :class:`_ArrayStamp` handle's resident
-    array (see :func:`_handle_array`); entities never touched again
-    cost nothing, which is what makes warm-up growth (an extension
-    every few events while the cover assembles) near-free.  Because
-    :meth:`ClockComponents.extended` is pure append (old threads stay a
-    prefix of the thread block, old objects a prefix of the object
-    block, across any number of compositions), the pad is two slice
-    copies parameterised only by the birth and current layouts.
-
-    Coherence with the kernel's stamp dicts is the C205 contract: every
-    mutation of clock values outside the numpy write-back must evict the
-    touched entries (:meth:`evict`/:meth:`evict_pairs`) or drop the
-    cache wholesale (``kernel._cache = None``).  Arrays in the cache are
-    never mutated in place - the inner loop derives a *fresh* array
-    before incrementing - so eviction is about staleness, not aliasing.
-    """
-
-    __slots__ = ("threads", "objects", "born_threads", "born_size")
-
-    def __init__(self, components: ClockComponents) -> None:
-        self.threads: Dict[Vertex, object] = {}
-        self.objects: Dict[Vertex, object] = {}
-        self.born_threads = len(components.thread_components)
-        self.born_size = components.size
-
-    def sync(self, components: ClockComponents) -> None:
-        """Reconcile the cache with ``components``' layout if it grew.
-
-        Stale arrays are dropped, not padded: the stamp handles keep the
-        resident vectors alive, and :func:`_handle_array` rebuilds a
-        touched entity's entry with one lazy pad on its next read.  Two
-        integer compares when nothing changed - the hot-path cost.
-        """
-        new_threads = len(components.thread_components)
-        new_size = components.size
-        if new_size == self.born_size and new_threads == self.born_threads:
-            return
-        registry = _metrics_active()
-        if registry is not None:
-            registry.add("kernel.array_cache.invalidations")
-        self.threads.clear()
-        self.objects.clear()
-        self.born_threads = new_threads
-        self.born_size = new_size
-
-    def evict(self, thread: Vertex, obj: Vertex) -> None:
-        """Forget one event's endpoints (their stamps changed elsewhere)."""
-        registry = _metrics_active()
-        if registry is None:
-            self.threads.pop(thread, None)
-            self.objects.pop(obj, None)
-            return
-        evicted = (self.threads.pop(thread, None) is not None) + (
-            self.objects.pop(obj, None) is not None
-        )
-        if evicted:
-            registry.add("kernel.array_cache.evictions", evicted)
-
-    def evict_pairs(self, pairs: Sequence[Tuple[Vertex, Vertex]]) -> None:
-        """Forget every endpoint of ``pairs`` ahead of a non-array batch."""
-        threads = self.threads
-        objects = self.objects
-        registry = _metrics_active()
-        before = len(threads) + len(objects) if registry is not None else 0
-        for thread, obj in pairs:
-            threads.pop(thread, None)
-            objects.pop(obj, None)
-        if registry is not None:
-            evicted = before - len(threads) - len(objects)
-            if evicted:
-                registry.add("kernel.array_cache.evictions", evicted)
-
-
-class _ArrayStamp(Timestamp):
-    """A lazily materialised :class:`Timestamp` over a resident array.
-
-    The numpy write-back stores these handles in the kernel's stamp
-    dicts (and returns them from ``timestamp_batch``) instead of eagerly
-    converting every touched vector back to a Python tuple.  The handle
-    *is* a ``Timestamp`` - same comparisons, same accessors - but its
-    ``_values`` tuple is built on first attribute access, so digest-only
-    drivers that never look at a stamp's values never pay ``tolist()``
-    or tuple construction.
-
-    The wrapped array is never mutated (the inner loop always derives a
-    fresh array before incrementing), so materialisation is stable.  A
-    handle can outlive component growth: ``_born_threads`` plus the
-    array's length record the append-only layout it was minted under,
-    and materialisation zero-pads into the handle's component set - the
-    same identity-preserving transform ``rebase_timestamp`` implements
-    slot by slot.  Handles pickle (and deepcopy) as plain eagerly
-    materialised ``Timestamp`` objects, so checkpoints stay loadable on
-    numpy-less hosts.
-    """
-
-    __slots__ = ("_array", "_born_threads")
-
-    @classmethod
-    def _make(
-        cls, components: ClockComponents, array: object, born_threads: int
-    ) -> "_ArrayStamp":
-        stamp = object.__new__(cls)
-        stamp._components = components
-        stamp._array = array
-        stamp._born_threads = born_threads
-        return stamp
-
-    def __getattr__(self, name: str):
-        # Only the _values slot is lazy; anything else genuinely absent.
-        if name != "_values":
-            raise AttributeError(name)
-        registry = _metrics_active()
-        if registry is not None:
-            registry.add("kernel.lazy_stamps.materialised")
-        components = self._components
-        raw = self._array.tolist()
-        born_threads = self._born_threads
-        threads = len(components.thread_components)
-        size = components.size
-        if threads == born_threads and size == len(raw):
-            values = tuple(raw)
-        else:
-            values = (
-                tuple(raw[:born_threads])
-                + (0,) * (threads - born_threads)
-                + tuple(raw[born_threads:])
-                + (0,) * (size - threads - (len(raw) - born_threads))
-            )
-        self._values = values
-        return values
-
-    def __reduce__(self):
-        # Checkpoints must stay loadable on numpy-less hosts, so a handle
-        # serialises as the plain materialised Timestamp it stands for.
-        return (Timestamp._from_trusted, (self._components, self._values))
-
-
-def _handle_array(stamp: "_ArrayStamp", threads: int, size: int):
-    """A ``(threads, size)``-layout ``int64`` array of ``stamp``'s values.
-
-    The array-path fast lane of a cache miss: instead of materialising
-    the handle's tuple and re-converting, the resident array is reused
-    directly when the layout matches, or zero-padded with two slice
-    copies when components were appended since the handle was minted.
-    Never mutates (or returns a view of a region that will be mutated
-    of) the handle's array - callers treat working arrays as frozen.
-    """
-    values = stamp._array
-    born_threads = stamp._born_threads
-    if born_threads == threads and len(values) == size:
-        return values
-    wide = _np.zeros(size, dtype=_np.int64)
-    wide[:born_threads] = values[:born_threads]
-    wide[threads:threads + (len(values) - born_threads)] = (
-        values[born_threads:]
-    )
-    return wide
-
-
-class NumpyKernelBackend(KernelBackend):
-    """The gated numpy batch loop: resident-array clocks, C-speed merge.
-
-    Working vectors are ``int64`` arrays resident across batches in the
-    kernel's :class:`_ArrayCache` (one conversion per touched entity per
-    *epoch*, not per batch) and the element-wise maximum is a single
-    ``np.maximum`` call.  Values re-enter the immutable
-    :class:`Timestamp` world through lazy :class:`_ArrayStamp` handles,
-    whose first-use materialisation restores exact Python ints - verdict
-    bit-identity with the python backend is asserted by the property
-    tests.
-    """
-
-    name = NUMPY_BACKEND
-
-    #: Below this batch length the array working-state setup costs more
-    #: than it saves, so short runs (warm-up segments between component
-    #: additions, expire-riddled streams) take the pure-Python loop -
-    #: *until* the kernel has a populated resident cache, at which point
-    #: arrays win at any length (a cache hit is one dict lookup, while
-    #: falling back would evict cached vectors and rebuild them from
-    #: materialised tuples next batch).  Re-tuned for the cached regime:
-    #: the old per-batch backend needed 48 events to amortise its
-    #: conversions; with conversions amortised across the epoch the
-    #: crossover sits far lower.  Purely a wall-clock switch: both loops
-    #: are bit-identical.
-    MIN_ARRAY_BATCH = 16
-
-    #: Below this clock dimension ``np.maximum`` call overhead exceeds
-    #: the Python element-wise loop it replaces, so small clocks take
-    #: the Python loop too.  The two modes used to differ by ~3x because
-    #: minting converted every stamp back to a Python tuple; lazy
-    #: ``_ArrayStamp`` handles removed that per-event cost, so the mint
-    #: crossover collapsed to nearly the advance one.  Same bit-identity
-    #: argument as above in both cases.
-    MIN_ARRAY_DIM_ADVANCE = 32
-    MIN_ARRAY_DIM_MINT = 48
-
-    def __init__(self) -> None:
-        self._fallback = PythonKernelBackend()
-
-    def _use_arrays(self, kernel, pairs, min_dim) -> bool:
-        cache = kernel._cache
-        if cache is not None and (cache.threads or cache.objects):
-            # Resident vectors exist: stay on the array path so they are
-            # reused rather than evicted (the python fallback would have
-            # to materialise their handles' tuples anyway).
-            return True
-        return (
-            len(pairs) >= self.MIN_ARRAY_BATCH
-            and kernel._components.size >= min_dim
-        )
-
-    def timestamp_batch(self, kernel, pairs):
-        if not self._use_arrays(kernel, pairs, self.MIN_ARRAY_DIM_MINT):
-            return self._fallback.timestamp_batch(kernel, pairs)
-        stamps: List[Timestamp] = []
-        self._run(kernel, pairs, 0, stamps)
-        return stamps
-
-    def advance_batch(self, kernel, pairs, fold):
-        if not self._use_arrays(kernel, pairs, self.MIN_ARRAY_DIM_ADVANCE):
-            return self._fallback.advance_batch(kernel, pairs, fold)
-        return self._run(kernel, pairs, fold, None)
-
-    def _run(self, kernel, pairs, fold, stamps):
-        np = _np
-        if np is None:  # pragma: no cover - resolve_backend gates this
-            raise ClockError("numpy backend invoked without numpy installed")
-        components = kernel._components
-        size = components.size
-        thread_slots = kernel._thread_slot
-        object_slots = kernel._object_slot
-        thread_stamps = kernel._thread_stamps
-        object_stamps = kernel._object_stamps
-        cache = kernel._cache
-        if cache is None:
-            cache = kernel._cache = _ArrayCache(components)
-        else:
-            # Deferred pad-on-read: component growth since the last array
-            # batch is reconciled here, once, instead of on every extend.
-            cache.sync(components)
-        cached_threads = cache.threads
-        cached_objects = cache.objects
-        registry = _metrics_active()
-        if registry is not None:
-            registry.add("kernel.batch.array_batches")
-            registry.add("kernel.batch.array_events", len(pairs))
-        born_threads = len(components.thread_components)
-        maximum = np.maximum
-        as_array = np.array
-        zeros = np.zeros
-        int64 = np.int64
-        make = _ArrayStamp._make
-        thread_work: Dict[Vertex, object] = {}
-        object_work: Dict[Vertex, object] = {}
-        # Handles minted this batch, keyed by the id of their array.  The
-        # write-back reuses them so a returned stamp and the stored
-        # thread/object stamp of its endpoints are the *same* object,
-        # like the python backend's loop; handle entries keep their array
-        # alive, so ids cannot be recycled while the dict is in use.
-        minted: Dict[int, Timestamp] = {}
-        append_stamp = stamps.append if stamps is not None else None
-        try:
-            for thread, obj in pairs:
-                thread_values = thread_work.get(thread)
-                if thread_values is None:
-                    thread_values = cached_threads.get(thread)
-                    if thread_values is None:
-                        stamp = thread_stamps.get(thread)
-                        if stamp is not None:
-                            thread_values = (
-                                _handle_array(stamp, born_threads, size)
-                                if type(stamp) is _ArrayStamp
-                                else as_array(stamp._values, dtype=int64)
-                            )
-                object_values = object_work.get(obj)
-                if object_values is None:
-                    object_values = cached_objects.get(obj)
-                    if object_values is None:
-                        stamp = object_stamps.get(obj)
-                        if stamp is not None:
-                            object_values = (
-                                _handle_array(stamp, born_threads, size)
-                                if type(stamp) is _ArrayStamp
-                                else as_array(stamp._values, dtype=int64)
-                            )
-                object_slot = object_slots.get(obj)
-                thread_slot = thread_slots.get(thread)
-                if thread_slot is None and object_slot is None:
-                    if kernel._strict:
-                        raise ComponentError(
-                            f"operation ({thread!r}, {obj!r}) is not covered "
-                            f"by the clock components"
-                        )
-                    if thread_values is None:
-                        values = (
-                            object_values
-                            if object_values is not None
-                            else zeros(size, dtype=int64)
-                        )
-                    elif (
-                        object_values is None or object_values is thread_values
-                    ):
-                        values = thread_values
-                    else:
-                        values = maximum(thread_values, object_values)
-                    thread_work[thread] = values
-                    object_work[obj] = values
-                    if append_stamp is not None:
-                        key = id(values)
-                        stamp = minted.get(key)
-                        if stamp is None:
-                            stamp = make(components, values, born_threads)
-                            minted[key] = stamp
-                        append_stamp(stamp)
-                    else:
-                        fold = ((fold ^ 1) * _FOLD_PRIME) & _FOLD_MASK
-                    continue
-                if thread_values is None:
-                    values = (
-                        object_values.copy()
-                        if object_values is not None
-                        else zeros(size, dtype=int64)
-                    )
-                elif object_values is None or object_values is thread_values:
-                    values = thread_values.copy()
-                else:
-                    values = maximum(thread_values, object_values)
-                if object_slot is not None:
-                    values[object_slot] += 1
-                if thread_slot is not None:
-                    values[thread_slot] += 1
-                thread_work[thread] = values
-                object_work[obj] = values
-                if append_stamp is not None:
-                    stamp = make(components, values, born_threads)
-                    minted[id(values)] = stamp
-                    append_stamp(stamp)
-                else:
-                    # The fold reads its post-increment slot values
-                    # straight off the resident array - no tuple, no
-                    # Timestamp, just two scalar reads per event.
-                    fold = (
-                        (
-                            fold
-                            ^ (
-                                (values.item(thread_slot) if thread_slot is not None else 0)
-                                * 2654435761
-                                + (values.item(object_slot) if object_slot is not None else 0)
-                                * 40503
-                                + 1
-                            )
-                        )
-                        * _FOLD_PRIME
-                    ) & _FOLD_MASK
-        finally:
-            # Hit/miss accounting must read membership *before* the
-            # write-back repopulates the stores: an entity touched this
-            # batch was a hit iff its vector was already resident when
-            # the batch began (entries are only read, never added,
-            # inside the loop above).  Entity-granular on purpose - the
-            # cache's whole point is one conversion per touched entity,
-            # so per-entity is the meaningful hit rate.
-            if registry is not None:
-                touched = len(thread_work) + len(object_work)
-                hits = sum(
-                    1 for vertex in thread_work if vertex in cached_threads
-                ) + sum(1 for vertex in object_work if vertex in cached_objects)
-                if hits:
-                    registry.add("kernel.array_cache.hits", hits)
-                if touched - hits:
-                    registry.add("kernel.array_cache.misses", touched - hits)
-            # Also on a strict-mode error: the events before the offender
-            # are applied, and stamps and cache stay coherent (the batch
-            # entered synced, and every array written carries the synced
-            # layout).
-            for cache_store, stamp_store, work in (
-                (cached_threads, thread_stamps, thread_work),
-                (cached_objects, object_stamps, object_work),
-            ):
-                for vertex, values in work.items():
-                    key = id(values)
-                    stamp = minted.get(key)
-                    if stamp is None:
-                        stamp = make(components, values, born_threads)
-                        minted[key] = stamp
-                    stamp_store[vertex] = stamp
-                    cache_store[vertex] = values
-        return fold
-
-
-_BACKENDS: Dict[str, KernelBackend] = {PYTHON_BACKEND: PythonKernelBackend()}
-
-#: Process-wide default set by :func:`set_default_backend` (``None`` defers
-#: to the ``REPRO_KERNEL_BACKEND`` environment variable, then ``python``).
-_DEFAULT_BACKEND: Optional[str] = None
-
-
-def numpy_available() -> bool:
-    """``True`` when the optional numpy backend can actually be selected."""
-    return _np is not None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """The backend names selectable in this process, python first."""
-    if _np is not None:
-        return (PYTHON_BACKEND, NUMPY_BACKEND)
-    return (PYTHON_BACKEND,)
-
-
-def default_backend_name() -> str:
-    """The backend used when no explicit choice is made anywhere."""
-    if _DEFAULT_BACKEND is not None:
-        return _DEFAULT_BACKEND
-    return os.environ.get("REPRO_KERNEL_BACKEND", "").strip() or PYTHON_BACKEND
-
-
-def default_backend_override() -> Optional[str]:
-    """The explicit process-wide override, or ``None`` when unset.
-
-    Distinct from :func:`default_backend_name`, which also folds in the
-    environment variable and the ``python`` fallback - callers that pin
-    a backend temporarily (the ratio sweep's workers) save this raw
-    value and restore it, so they never clobber an ambient selection.
-    """
-    return _DEFAULT_BACKEND
-
-
-def set_default_backend(name: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide default backend.
-
-    Validates availability immediately, so a CLI ``--backend numpy``
-    without numpy fails at argument-handling time, not deep inside a run.
-    """
-    global _DEFAULT_BACKEND
-    if name is not None:
-        resolve_backend(name)
-    _DEFAULT_BACKEND = name
-
-
-def _backend_from_checkpoint(name: str) -> KernelBackend:
-    """Unpickle entry point for backends: lenient where resolve is strict.
-
-    See :meth:`KernelBackend.__reduce__` - an unavailable backend named
-    by old state degrades to ``python`` rather than making the pickle
-    unreadable.
-    """
-    try:
-        return resolve_backend(name)
-    except ClockError:
-        return resolve_backend(PYTHON_BACKEND)
-
-
-def resolve_backend(name: Optional[str] = None) -> KernelBackend:
-    """The backend instance for ``name`` (``None``: the current default).
-
-    Raises :class:`~repro.exceptions.ClockError` for unknown names and
-    for ``numpy`` when numpy is not importable - the gate that keeps the
-    accelerator optional.
-    """
-    if isinstance(name, KernelBackend):
-        return name
-    if name is None:
-        name = default_backend_name()
-    if name == NUMPY_BACKEND:
-        if _np is None:
-            raise ClockError(
-                "kernel backend 'numpy' requested but numpy is not "
-                "importable; install numpy or select the 'python' backend"
-            )
-        backend = _BACKENDS.get(NUMPY_BACKEND)
-        if backend is None:
-            backend = _BACKENDS[NUMPY_BACKEND] = NumpyKernelBackend()
-        return backend
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ClockError(
-            f"unknown kernel backend {name!r} "
-            f"(expected one of: {', '.join(available_backends())})"
-        ) from None
-
-
-class ClockKernel:
-    """Mutable per-thread / per-object clock state for one protocol run.
-
-    Parameters
-    ----------
-    components:
-        The clock's component set; fixes the vector dimension and the slot
-        index of every component.
-    strict:
-        When ``True`` (the default), observing an operation whose thread
-        and object are both outside the component set raises
-        :class:`ComponentError`; when ``False`` the operation is merged but
-        not incremented (see ``VectorClockProtocol`` for why that loses the
-        vector clock property).
-    backend:
-        The :class:`KernelBackend` (or its name) supplying the batch inner
-        loop; ``None`` resolves the process default (see the module
-        docstring).  The backend never changes results, only wall-clock.
-    """
-
-    __slots__ = (
-        "_components",
-        "_strict",
-        "_zero",
-        "_thread_slot",
-        "_object_slot",
-        "_thread_stamps",
-        "_object_stamps",
-        "_epoch",
-        "_retired_total",
-        "_backend",
-        "_cache",
-    )
-
-    def __init__(
-        self,
-        components: ClockComponents,
-        strict: bool = True,
-        backend: Optional[object] = None,
-    ) -> None:
-        self._strict = strict
-        self._epoch = 0
-        self._retired_total = 0
-        self._backend = resolve_backend(backend)
-        self._thread_stamps: Dict[Vertex, Timestamp] = {}
-        self._object_stamps: Dict[Vertex, Timestamp] = {}
-        self._cache: Optional[_ArrayCache] = None
-        self._bind_components(components)
-
-    def _bind_components(self, components: ClockComponents) -> None:
-        """Point the kernel at ``components``: slot maps and the zero stamp."""
-        self._components = components
-        self._zero = Timestamp.zero(components)
-        thread_set = components.thread_components
-        object_set = components.object_components
-        self._thread_slot: Dict[Vertex, int] = {
-            c: i for i, c in enumerate(components.ordered) if c in thread_set
-        }
-        self._object_slot: Dict[Vertex, int] = {
-            c: i for i, c in enumerate(components.ordered) if c in object_set
-        }
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    @property
-    def components(self) -> ClockComponents:
-        return self._components
-
-    @property
-    def epoch(self) -> int:
-        """How many times :meth:`rotate_epoch` has been applied."""
-        return self._epoch
-
-    @property
-    def retired_total(self) -> int:
-        """Total components retired across all epoch rotations so far."""
-        return self._retired_total
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the backend supplying the batch inner loop."""
-        return self._backend.name
-
-    def set_backend(self, backend: Optional[object]) -> None:
-        """Swap the batch backend (results are identical by contract).
-
-        Used when resuming a checkpointed run under a different
-        ``--backend``: the pickled kernel carries the backend it ran
-        with, and the resuming configuration wins.  The resident-array
-        cache needs no action here: the python loops evict what they
-        touch, so a cache built by one backend stays coherent for the
-        next.
-        """
-        self._backend = resolve_backend(backend)
-
-    # ------------------------------------------------------------------
-    # Resident-array cache coherence (the C205 contract)
-    # ------------------------------------------------------------------
-    def _invalidate_cache(self) -> None:
-        """Drop the backend's resident-array cache wholesale.
-
-        The hook for mutations that reshape clock state beyond the
-        cache's pure-append pad model (epoch rotation, resets, slot
-        permutations).  Cheap and always safe: the next array batch
-        rebuilds resident vectors from the stamp dicts.
-        """
-        if self._cache is not None:
-            registry = _metrics_active()
-            if registry is not None:
-                registry.add("kernel.array_cache.invalidations")
-        self._cache = None
-
-    def _cache_evict(self, thread: Vertex, obj: Vertex) -> None:
-        """Forget one event's endpoints from the resident-array cache.
-
-        The targeted hook for per-event mutations (:meth:`observe`):
-        the touched thread/object stamps are replaced outside the array
-        write-back, so their cached vectors would go stale.
-        """
-        cache = self._cache
-        if cache is not None:
-            cache.evict(thread, obj)
-
-    def __getstate__(self):
-        # The resident-array cache is process-local working state: it
-        # holds numpy arrays (unloadable on a numpy-less host) that the
-        # backend rebuilds on demand, so checkpoints never carry it.
-        # Stamp handles in the dicts serialise as materialised
-        # Timestamps via _ArrayStamp.__reduce__ /
-        # _ProjectedStamp.__reduce__.
-        return {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot != "_cache"
-        }
-
-    def __setstate__(self, state) -> None:
-        if isinstance(state, tuple):
-            # The pre-cache default slots form: (dict-state, slots-dict).
-            state = state[1] or {}
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self._cache = None
-
-    def thread_stamp(self, thread: Vertex) -> Timestamp:
-        """Current clock of ``thread`` as an immutable timestamp."""
-        return self._thread_stamps.get(thread, self._zero)
-
-    def object_stamp(self, obj: Vertex) -> Timestamp:
-        """Current clock of ``obj`` as an immutable timestamp."""
-        return self._object_stamps.get(obj, self._zero)
-
-    # ------------------------------------------------------------------
-    # The update rule
-    # ------------------------------------------------------------------
-    def observe(self, thread: Vertex, obj: Vertex) -> Timestamp:
-        """Apply the update rule for one operation and return its timestamp.
-
-        One list, one tuple and one :class:`Timestamp` are allocated per
-        covered event; nothing is re-validated.
-        """
-        self._cache_evict(thread, obj)
-        thread_stamp = self._thread_stamps.get(thread)
-        object_stamp = self._object_stamps.get(obj)
-        object_slot = self._object_slot.get(obj)
-        thread_slot = self._thread_slot.get(thread)
-
-        if thread_slot is None and object_slot is None:
-            if self._strict:
-                raise ComponentError(
-                    f"operation ({thread!r}, {obj!r}) is not covered by the "
-                    f"clock components"
-                )
-            # Merge-only (no increment): the degenerate non-strict path.
-            stamp = self._merge_only(thread_stamp, object_stamp)
-            self._thread_stamps[thread] = stamp
-            self._object_stamps[obj] = stamp
-            return stamp
-
-        if thread_stamp is None:
-            values = list(object_stamp._values) if object_stamp is not None else [
-                0
-            ] * self._components.size
-        elif object_stamp is None or object_stamp is thread_stamp:
-            values = list(thread_stamp._values)
-        else:
-            values = [
-                a if a >= b else b
-                for a, b in zip(thread_stamp._values, object_stamp._values)
-            ]
-        if object_slot is not None:
-            values[object_slot] += 1
-        if thread_slot is not None:
-            values[thread_slot] += 1
-        stamp = Timestamp._from_trusted(self._components, tuple(values))
-        self._thread_stamps[thread] = stamp
-        self._object_stamps[obj] = stamp
-        return stamp
-
-    def timestamp_batch(
-        self, pairs: Sequence[Tuple[Vertex, Vertex]]
-    ) -> List[Timestamp]:
-        """Apply the update rule to a whole chunk; one timestamp per event.
-
-        Bit-identical to calling :meth:`observe` per pair (the property
-        tests assert it for every backend), but the inner loop is the
-        backend's: slot lookups and stamp allocation are amortised over
-        the batch instead of being re-paid per Python call.  On a
-        strict-mode coverage error the events preceding the offender are
-        applied, exactly as a sequential loop would have left them.
-        """
-        return self._backend.timestamp_batch(self, pairs)
-
-    def advance_batch(
-        self, pairs: Sequence[Tuple[Vertex, Vertex]], fold: int = 0
-    ) -> int:
-        """Advance the clocks over a chunk without minting timestamps.
-
-        The engine's hot path: per-thread/object clock state ends up
-        exactly as after :meth:`timestamp_batch`, but no per-event
-        :class:`Timestamp` is materialised - the returned value is
-        ``fold`` advanced by :func:`fold_stamp_values` for every event,
-        the digest the sharded engine carries into its fingerprint.
-        """
-        return self._backend.advance_batch(self, pairs, fold)
 
     def fold_event(
         self, fold: int, stamp: Timestamp, thread: Vertex, obj: Vertex
@@ -1335,7 +621,6 @@ class ClockKernel:
         self._epoch += 1
         self._thread_stamps.clear()
         self._object_stamps.clear()
-        self._invalidate_cache()
         self._bind_components(new_components)
         return retired
 
@@ -1381,7 +666,6 @@ class ClockKernel:
             new_components, live_threads, live_objects
         )
         stamps = [project(stamp) for stamp in live_stamps]
-        self._invalidate_cache()
         self._bind_components(new_components)
         return stamps
 
@@ -1398,14 +682,9 @@ class ClockKernel:
         slots, and returns the projection function so the caller can run
         its own stamps through the same identity-keyed cache (see
         :meth:`_rebase_stamps` for why the cache is keyed by ``id`` and
-        why ``keep`` pins the inputs).  Dropping slots breaks the
-        resident-array cache's pure-append pad model, so the cache is
-        invalidated wholesale here.
+        why ``keep`` pins the inputs).
 
-        An :class:`_ArrayStamp` gathers eagerly off its resident array
-        (a C-level ``take``; the projected handle is born in the new
-        layout, so later pad-on-read still applies).  Everything else -
-        plain stamps, stale ledger entries lazy extension left in an
+        Every stamp - plain stamps, stale ledger entries lazy extension left in an
         append ancestor, wrappers from earlier rotations, materialised
         or not - takes one uniform path: wrap in a
         :class:`_ProjectedStamp` around the stamp *as is*, sharing the
@@ -1424,7 +703,6 @@ class ClockKernel:
         old_size = old.size
         gather = [old_index[c] for c in new_components.ordered]
         relayout = (_values_gather(gather), old_size, old_threads)
-        new_threads = len(new_components.thread_components)
         projected: Dict[int, Timestamp] = {}
         keep: List[Timestamp] = []
         make = _ProjectedStamp._make
@@ -1432,16 +710,7 @@ class ClockKernel:
         def project(stamp: Timestamp) -> Timestamp:
             cached = projected.get(id(stamp))
             if cached is None:
-                if type(stamp) is _ArrayStamp:
-                    cached = _ArrayStamp._make(
-                        new_components,
-                        _handle_array(stamp, old_threads, old_size).take(
-                            gather
-                        ),
-                        new_threads,
-                    )
-                else:
-                    cached = make(new_components, stamp, relayout)
+                cached = make(new_components, stamp, relayout)
                 projected[id(stamp)] = cached
                 keep.append(stamp)
             return cached
@@ -1456,7 +725,6 @@ class ClockKernel:
             for vertex, stamp in self._object_stamps.items()
             if vertex in live_objects
         }
-        self._invalidate_cache()
         return project
 
     def _rebase_stamps(self, new_components: ClockComponents) -> None:
@@ -1511,17 +779,7 @@ class ClockKernel:
             def rebase(stamp: Timestamp) -> Timestamp:
                 cached = rebased.get(id(stamp))
                 if cached is None:
-                    if type(stamp) is _ArrayStamp:
-                        # A lazy handle rebases without materialising:
-                        # the new handle shares the resident array, and
-                        # its recorded birth layout already encodes the
-                        # append-only pad materialisation will apply.
-                        # This is what makes warm-up component growth
-                        # near-free on the array path.
-                        cached = _ArrayStamp._make(
-                            new_components, stamp._array, stamp._born_threads
-                        )
-                    elif (
+                    if (
                         type(stamp) is _ProjectedStamp
                         and stamp._source is not None
                     ):
@@ -1558,13 +816,10 @@ class ClockKernel:
                 return cached
 
         else:
-            # A non-append layout change breaks the cache's pure-append
-            # pad model (slots permute), so the resident arrays cannot be
-            # reconciled by sync(); drop them.  Unreachable from
+            # A non-append layout change (slots permute) takes the
+            # per-slot identity rebase.  Unreachable from
             # extend_components (ClockComponents.extended always
             # appends), kept for direct callers.
-            self._invalidate_cache()
-
             def rebase(stamp: Timestamp) -> Timestamp:
                 cached = rebased.get(id(stamp))
                 if cached is None:
@@ -1582,4 +837,3 @@ class ClockKernel:
         """Forget all clock state."""
         self._thread_stamps.clear()
         self._object_stamps.clear()
-        self._invalidate_cache()

@@ -63,21 +63,12 @@ class VectorClockProtocol:
         merge and no increment).  This is only useful for demonstrating in
         tests and examples *why* coverage is required; production callers
         should leave it on.
-    backend:
-        Kernel batch backend (name or instance) for the chunked entry
-        points; ``None`` resolves the process default.  Never changes the
-        timestamps, only the wall-clock of the batch paths.
     """
 
-    def __init__(
-        self,
-        components: ClockComponents,
-        strict: bool = True,
-        backend: Optional[object] = None,
-    ) -> None:
+    def __init__(self, components: ClockComponents, strict: bool = True) -> None:
         self._components = components
         self._strict = strict
-        self._kernel = ClockKernel(components, strict=strict, backend=backend)
+        self._kernel = ClockKernel(components, strict=strict)
         self._events_observed = 0
 
     # ------------------------------------------------------------------
@@ -126,18 +117,7 @@ class VectorClockProtocol:
         :meth:`timestamp_computation` it may be called repeatedly, so a
         streaming consumer can feed the protocol chunk by chunk.  The
         returned timestamps are bit-identical to per-event
-        :meth:`observe` calls - the loop is just the kernel backend's.
-
-        Under the numpy backend the returned objects may be *lazy*
-        stamp handles: full :class:`~repro.core.clock.Timestamp`
-        instances whose value tuple is materialised from the backend's
-        resident array on first use (any comparison, ``.values``,
-        hashing, pickling).  Digest-only consumers that never look
-        inside a stamp therefore never pay tuple construction.  The
-        laziness is unobservable by contract: values, ordering,
-        identity sharing between a returned stamp and the stored
-        endpoint clocks, and pickle output (plain eager timestamps,
-        loadable without numpy) all match the python backend exactly.
+        :meth:`observe` calls - the loop is just the kernel's batch loop.
         """
         pairs = list(pairs)
         # Count before running, like timestamp_computation: a coverage
@@ -363,9 +343,7 @@ def verify_retimestamping(
 DELTA_ROTATION = "delta"
 REPLAY_ROTATION = "replay"
 
-#: Strategies :class:`EpochClock` accepts.  Both are always available
-#: (unlike kernel backends, neither needs an optional dependency): the
-#: choice only moves work between the rotation boundary and nothing -
+#: Strategies :class:`EpochClock` accepts.  The choice only moves work between the rotation boundary and nothing -
 #: causal verdicts, tokens, retired counts and engine fingerprints are
 #: identical by contract, and the property tests assert it.
 ROTATION_STRATEGIES = (DELTA_ROTATION, REPLAY_ROTATION)
@@ -386,9 +364,8 @@ def resolve_rotation(name: str) -> str:
 def default_rotation_name() -> str:
     """The strategy a rotation-less :class:`EpochClock` uses right now.
 
-    Resolution order mirrors the kernel-backend default:
-    :func:`set_default_rotation`, then the ``REPRO_ROTATION_STRATEGY``
-    environment variable, then ``"delta"``.
+    Resolution order: :func:`set_default_rotation`, then the
+    ``REPRO_ROTATION_STRATEGY`` environment variable, then ``"delta"``.
     """
     if _DEFAULT_ROTATION is not None:
         return _DEFAULT_ROTATION
@@ -396,18 +373,6 @@ def default_rotation_name() -> str:
     if env:
         return resolve_rotation(env)
     return DELTA_ROTATION
-
-
-def default_rotation_override() -> Optional[str]:
-    """The :func:`set_default_rotation` override currently installed.
-
-    ``None`` when unset.  Callers that pin the strategy for a scoped run
-    (the engine's shard loop, benchmark legs) save this, install their
-    own, and restore in a ``finally`` - restoring the *override* rather
-    than the resolved name keeps a surrounding environment-variable
-    default live after the scope ends.
-    """
-    return _DEFAULT_ROTATION
 
 
 def set_default_rotation(name: Optional[str]) -> None:
@@ -448,13 +413,11 @@ class EpochClock:
         components: Optional[ClockComponents] = None,
         strict: bool = True,
         check_invariant: bool = False,
-        backend: Optional[object] = None,
         rotation: Optional[str] = None,
     ) -> None:
         self._kernel = ClockKernel(
             components if components is not None else ClockComponents(),
             strict=strict,
-            backend=backend,
         )
         self._check_invariant = check_invariant
         self._rotation = (
@@ -529,10 +492,7 @@ class EpochClock:
         tokens), with the kernel's batch loop doing the per-event work.
         Lifecycle ticks (:meth:`expire`, :meth:`rotate`) cannot occur
         *inside* a batch by construction - callers chunk their streams at
-        lifecycle boundaries, as the sharded engine does.  The stored
-        live stamps may be the numpy backend's lazy handles (see
-        :meth:`VectorClockProtocol.timestamp_batch`); causality queries
-        materialise them transparently on first use.
+        lifecycle boundaries, as the sharded engine does.
         """
         pairs = list(pairs)
         stamps = self._kernel.timestamp_batch(pairs)

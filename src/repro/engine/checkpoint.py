@@ -156,9 +156,17 @@ class EngineCheckpointManager:
         try:
             with path.open("rb") as handle:
                 checkpoint = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as error:
+        except (
+            OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError
+        ) as error:
+            # A missing attribute or module is the signature of a checkpoint
+            # written by a different version of the package (e.g. a kernel
+            # pickled with a since-removed helper): refuse it whole rather
+            # than resume a mixed state.
             raise EngineError(
-                f"corrupt shard checkpoint {path}: {error}"
+                f"corrupt or incompatible shard checkpoint {path}: {error}; "
+                f"run 'python -m repro engine clean --max-age 0 "
+                f"{self._directory}' to recompute its shards from the stream"
             ) from None
         if checkpoint.shard_id != shard_id:
             raise EngineError(

@@ -7,7 +7,7 @@ thing a backend may influence is wall-clock time: results are returned
 in task order no matter which worker finished first, and every consumer
 folds them in that order.  That discipline - deterministic task
 decomposition plus order-preserving collection - is what makes
-``--jobs N`` (and ``--workers N``) bit-identical to serial.
+``--workers N`` (and ``sweep ratio --jobs N``) bit-identical to serial.
 
 Two backends:
 
@@ -19,9 +19,8 @@ Two backends:
   ``spawn`` processes.  Workers are created **once** per :meth:`map`
   call and then fed tasks over a queue until a sentinel retires them, so
   the interpreter spawn + package re-import cost is paid per *worker*,
-  not per *task* - the amortisation that the old spawn-per-task
-  ``concurrent.futures`` backend lacked, and the reason ``--jobs 2`` on
-  a many-shard run used to measure *slower* than serial.  ``spawn`` is
+  not per *task* - the amortisation a spawn-per-task backend lacks.
+  ``spawn`` is
   still chosen over ``fork`` deliberately: workers re-import the package
   from a clean interpreter (no inherited mutable module state to diverge
   on) and behave identically on Linux/macOS/Windows.
@@ -292,28 +291,3 @@ def execute_tasks(
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
     return WorkerPool(jobs).map(fn, tasks)
-
-
-class ShardExecutor:
-    """A reusable backend selection: ``jobs`` workers over shard tasks.
-
-    Thin by design - the determinism story lives in the task
-    decomposition and the order-preserving :func:`execute_tasks`, not
-    here - but it gives the runner and the ratio sweep one shared knob
-    and one place to validate it.
-    """
-
-    def __init__(self, jobs: int = 1) -> None:
-        if jobs < 0:
-            raise EngineError(f"jobs must be >= 0, got {jobs}")
-        self.jobs = jobs
-
-    @property
-    def is_serial(self) -> bool:
-        return self.jobs <= 1
-
-    def map(
-        self, fn: Callable[[Task], Result], tasks: Sequence[Task]
-    ) -> List[Result]:
-        """Execute ``tasks`` on this backend; results in task order."""
-        return execute_tasks(fn, tasks, jobs=self.jobs)

@@ -23,7 +23,8 @@ have produced.  Everything here is built around that requirement:
 * :class:`EngineResult` - the fully merged run: convenience accessors,
   a deterministic text rendering, and a :meth:`EngineResult.fingerprint`
   (SHA-256 over a canonical serialisation) that the CLI prints and the
-  tests compare to assert ``--jobs 1`` / ``--jobs N`` bit-identity.
+  tests compare to assert ``--workers 1`` / ``--workers N`` bit-identity
+  and pin against golden values.
 
 Trajectory samples are taken at shard-local insert indices ``i`` with
 ``i % stride == 0``.  Sampling is keyed to the *global* shard index, not
@@ -55,8 +56,15 @@ class SeriesFragment:
     the fragment covers inserts ``start .. start + count - 1`` of its
     shard's sub-stream.  ``samples`` holds the clock sizes at the covered
     indices divisible by ``stride``; ``final_size`` is the clock size at
-    the fragment's end (after its last covered insert *and* any trailing
-    expire / epoch ticks the producing chunk delivered).
+    the fragment's end.  The two kinds of label define that end
+    differently: a *mechanism's* ``final_size`` follows its last covered
+    insert *and* any trailing expire / epoch ticks the producing chunk
+    delivered, while the *offline* label's is the optimum right after
+    the last covered insert - trailing expires never refresh it, the
+    per-insert sampling convention of
+    :func:`~repro.online.simulator.compare_mechanisms_on_stream`.  So at
+    a shard's end the offline ``final_size`` can exceed the optimum of
+    the final live graph by the edges expired after the last insert.
     ``ratios`` summarises the pointwise online/offline ratios of the
     covered inserts (empty for the offline label itself, and when the
     run disabled the optimum); ``sketch`` is the mergeable quantile
@@ -68,7 +76,8 @@ class SeriesFragment:
     A fragment with ``count == 0`` is a *lifecycle-update* record: a
     chunk that covered no inserts but whose expire / epoch ticks moved
     the mechanism's clock (a window-aware mechanism retiring between
-    inserts, an epoch rebuild on an otherwise idle shard).  It
+    inserts, an epoch rebuild on an otherwise idle shard).  The offline
+    label never produces one (see ``final_size`` above).  It
     contributes no samples or ratios; its ``final_size`` / ``retired``
     are the state at its range end, which merging carries forward.
 
@@ -201,7 +210,7 @@ class EngineResult:
 
     The identity of a run's numbers is exactly ``(scenario parameters,
     root seed, shard structure, chunk size, window, mechanisms)`` - and
-    deliberately *not* the worker count or executor backend, which is the
+    deliberately *not* the worker count or pipeline, which is the
     engine's central determinism guarantee.  :meth:`fingerprint` distils
     the merged metrics into one hex digest so that guarantee is cheap to
     assert from tests and visible from the CLI.
@@ -258,7 +267,7 @@ class EngineResult:
 
         Folded in shard-id order (the fixed merge tree), so the result -
         and the percentiles derived from it - is identical across
-        ``--jobs`` values.  ``None`` when no shard recorded ratios for
+        ``--workers`` values.  ``None`` when no shard recorded ratios for
         the label (the offline series, or optimum-less runs).
         """
         pooled: Optional[QuantileSketch] = None

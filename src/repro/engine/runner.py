@@ -28,31 +28,26 @@ to its own shards, which makes tasks pure functions of ``(config,
 shard ids)`` - the property the executor needs for
 scheduling-independent results.
 
-Two scheduling modes share the per-shard machinery:
-
-* **per-shard tasks** (``jobs``, the original mode): one task per shard,
-  so ``num_shards`` tasks each regenerate and re-route the full stream.
-  Fine when shards are few and fat; ruinous when ``shards >> jobs``,
-  because the fixed per-pass cost (generation + routing) is paid once
-  per *shard*;
-* **shard-group tasks** (``workers``): :func:`plan_shard_groups` deals
-  the shards into ``workers`` contiguous groups, each group becomes one
-  task owned by one pool worker, and :func:`run_shard_group` generates
-  the stream **once** and routes events to every owned shard in a
-  single pass (:meth:`~repro.engine.sharding.StreamSharder.split_runs_group`).
-  The fixed per-pass cost is paid once per *worker* - the difference
-  between ``--jobs 2`` measuring 0.1x serial and ``--workers 2``
-  actually scaling.
+Scheduling: :func:`plan_shard_groups` deals the shards into
+``workers`` contiguous groups, each group becomes one task owned by one
+pool worker (or runs in-process when there is one group), and
+:func:`run_shard_group` generates the stream **once** and routes events
+to every owned shard in a single pass
+(:meth:`~repro.engine.sharding.StreamSharder.split_runs_group`).  The
+fixed per-pass cost (generation + routing) is paid once per *worker*,
+never once per shard; :func:`run_shard` is the one-shard projection of
+the same pass.
 
 Determinism contract (the one the acceptance tests assert): for a fixed
 ``EngineConfig``, the merged :class:`~repro.engine.results.EngineResult`
-is bit-identical across ``jobs`` values, ``workers`` values (including
-``None``), executor backends, and interrupt/resume cycles - checkpoints
-written under one scheduling mode resume under any other.  Every source
-of variation is keyed by :func:`repro.seeds.derive_seed` paths (stream,
-per-shard per-mechanism seeds), and every float accumulation follows one
-fixed merge tree (chunks in order within a shard, shards in id order at
-the end).
+is bit-identical across ``workers`` values, pipelines and
+interrupt/resume cycles - checkpoints written under one worker count
+resume under any other - and equal to the absolute fingerprints pinned
+in ``tests/test_golden_fingerprints.py``.  Every source of variation is
+keyed by :func:`repro.seeds.derive_seed` paths (stream, per-shard
+per-mechanism seeds), and every float accumulation follows one fixed
+merge tree (chunks in order within a shard, shards in id order at the
+end).
 """
 
 from __future__ import annotations
@@ -67,14 +62,9 @@ from repro.analysis.metrics import QuantileSketch, RunningStats
 from repro.computation.registry import REGISTRY, STREAM
 from repro.computation.streams import EPOCH
 from repro.core.components import ClockComponents
-from repro.core.kernel import ClockKernel, resolve_backend
-from repro.core.timestamping import (
-    default_rotation_override,
-    resolve_rotation,
-    set_default_rotation,
-)
+from repro.core.kernel import ClockKernel
 from repro.engine.checkpoint import EngineCheckpointManager, ShardCheckpoint
-from repro.engine.executor import ShardExecutor
+from repro.engine.executor import execute_tasks
 from repro.engine.results import (
     OFFLINE_LABEL,
     EngineResult,
@@ -83,7 +73,7 @@ from repro.engine.results import (
     merge_partials,
 )
 from repro.engine.sharding import HASH, STRATEGIES, StreamSharder, plan_shard_groups
-from repro.exceptions import ClockError, EngineError, ScenarioError
+from repro.exceptions import EngineError, ScenarioError
 from repro.graph.incremental import DynamicMatching
 from repro.obs.registry import active as _metrics_active
 from repro.obs.registry import span as _metrics_span
@@ -111,16 +101,11 @@ NON_SIGNATURE_FIELDS = (
     "checkpoint_dir",        # where state lives, not what is computed
     "max_chunks_per_shard",  # an interrupted run and its resumption are the same run
     "pipeline",              # bit-identical across pipelines by contract
-    "backend",               # bit-identical across kernel backends by contract
     "trajectory_stride",     # identity enters via the resolved "stride" key
     "workers",               # physical shard-group scheduling only: the merged
-                             # result is bit-identical across worker counts and
-                             # to the per-shard jobs mode, so checkpoints cross
-                             # worker counts freely (asserted by the tests)
-    "rotation",              # execution-only: delta and replay rotation are
-                             # verdict- and digest-identical by construction,
-                             # and the engine's own timestamping kernels are
-                             # append-only so rotation never fires in-shard
+                             # result is bit-identical across worker counts, so
+                             # checkpoints cross worker counts freely (asserted
+                             # by the tests)
 )
 
 
@@ -138,8 +123,9 @@ class EngineInterrupted(EngineError):
 class EngineConfig:
     """One sharded run, fully specified.
 
-    Everything that shapes the numbers lives here; everything that only
-    shapes the wall-clock (worker count, backend) deliberately does not.
+    Everything that shapes the numbers lives in the signature; the
+    fields that only shape the wall-clock (``pipeline``, ``workers``)
+    deliberately do not.
     ``trajectory_stride=0`` means auto: sample roughly a thousand points
     over the whole run so million-event trajectories stay plottable
     without carrying millions of samples per label.  ``epoch_every``
@@ -147,20 +133,16 @@ class EngineConfig:
     many of the shard's inserts (on top of any markers the scenario
     emits); it is part of the run's identity - window-aware mechanisms
     restructure their clocks at boundaries - so it lives in the
-    signature, unlike ``--jobs``.
+    signature, unlike ``--workers``.
 
-    Three fields shape the hot path without (``pipeline``, ``backend``)
-    or with (``timestamps``) shaping the numbers:
+    Two fields shape the hot path without (``pipeline``) or with
+    (``timestamps``) shaping the numbers:
 
     * ``pipeline`` - ``"batched"`` (default) consumes each shard's
       inserts in runs cut at lifecycle ticks and chunk/epoch boundaries,
       feeding ``observe_batch`` / ``advance_batch``; ``"per-event"`` is
       the classic one-call-per-event loop.  Bit-identical results; the
       fingerprint proves it.
-    * ``backend`` - the kernel backend (``python`` / ``numpy``) for the
-      timestamping stage; ``None`` resolves the process default.  The
-      numpy backend is gated on numpy importing and never changes a
-      single stamp value.
     * ``timestamps`` - when ``True``, every shard actually *mints* a
       timestamp per insert per mechanism label (the monitoring system's
       real output, driven through a per-label :class:`ClockKernel` that
@@ -171,24 +153,12 @@ class EngineConfig:
       per-shard rotation/replay story, which stays with
       :class:`~repro.online.adaptive.LifecycleClockDriver`.
 
-    ``workers`` selects the shard-group scheduling mode: ``None`` (the
-    default) keeps one task per shard driven by ``run_engine``'s
-    ``jobs`` argument; an integer deals the shards into that many
-    contiguous groups (:func:`plan_shard_groups`), runs each group as
-    one pool-worker task that generates the stream once for all its
-    shards, and forbids ``jobs > 1`` (the pool is sized by ``workers``).
-    Like ``jobs`` it is wall-clock only - the merged result, and every
-    checkpoint, is bit-identical across ``workers`` values.
-
-    ``rotation`` pins the process-default epoch-rotation strategy
-    (``"delta"`` / ``"replay"``, see
-    :func:`repro.core.timestamping.set_default_rotation`) inside every
-    shard task, restoring the prior default afterwards.  Execution-only:
-    the two strategies are verdict- and digest-identical by
-    construction, and the engine's own timestamping kernels are
-    append-only, so this knob exists to let benchmarks and operators
-    force the replay baseline through one flag rather than the
-    environment.
+    ``workers`` deals the shards into that many contiguous groups
+    (:func:`plan_shard_groups`) and runs each group as one task that
+    generates the stream once for all its shards - in-process for the
+    default single group, on a worker pool otherwise.  It is wall-clock
+    only: the merged result, and every checkpoint, is bit-identical
+    across ``workers`` values.
     """
 
     scenario: str
@@ -208,10 +178,8 @@ class EngineConfig:
     trajectory_stride: int = 0
     max_chunks_per_shard: Optional[int] = None
     pipeline: str = BATCHED
-    backend: Optional[str] = None
     timestamps: bool = False
-    workers: Optional[int] = None
-    rotation: Optional[str] = None
+    workers: int = 1
 
     def validate(self) -> None:
         try:
@@ -266,11 +234,6 @@ class EngineConfig:
                 f"unknown pipeline {self.pipeline!r} "
                 f"(expected one of: {', '.join(PIPELINES)})"
             )
-        if self.backend is not None:
-            try:
-                resolve_backend(self.backend)
-            except ClockError as error:
-                raise EngineError(str(error)) from None
         if self.timestamps:
             for label in self.mechanisms:
                 if EXTENDED_MECHANISMS[label](0).window_aware:
@@ -280,13 +243,8 @@ class EngineConfig:
                         f"would require per-shard epoch rotation (use "
                         f"LifecycleClockDriver for that)"
                     )
-        if self.workers is not None and self.workers < 1:
+        if self.workers < 1:
             raise EngineError(f"workers must be >= 1, got {self.workers}")
-        if self.rotation is not None:
-            try:
-                resolve_rotation(self.rotation)
-            except ClockError as error:
-                raise EngineError(str(error)) from None
 
     @property
     def stride(self) -> int:
@@ -302,7 +260,7 @@ class EngineConfig:
         merged metrics, so this is what the checkpoint manifest records.
         ``max_chunks_per_shard`` is excluded on purpose: an interrupted
         run and its resumption are the *same* run - and so are
-        ``pipeline``, ``backend`` and ``workers``, which by contract
+        ``pipeline`` and ``workers``, which by contract
         never change a number (a run checkpointed under one may resume
         under another).  ``timestamps`` *is* identity - it adds digest
         series - but the key is recorded only when set, so checkpoint
@@ -337,8 +295,6 @@ class _ShardConsumers:
     ``clocks`` / ``stamp_folds`` exist only for timestamping runs: one
     :class:`ClockKernel` per mechanism label (its component set follows
     the mechanism's decisions) and the label's cumulative stamp digest.
-    Kernels pickle with their backend reduced to its name, so a resumed
-    run can re-pin them to its own ``--backend``.
     """
 
     mechanisms: Dict[str, OnlineMechanism]
@@ -440,9 +396,7 @@ def _fresh_consumers(config: EngineConfig, shard_id: int,
         # decisions extend it before the triggering events are stamped,
         # so every stamped event is covered and strict mode holds.
         clocks = {
-            label: ClockKernel(
-                ClockComponents(), strict=True, backend=config.backend
-            )
+            label: ClockKernel(ClockComponents(), strict=True)
             for label in config.mechanisms
         }
         stamp_folds = {label: 0 for label in config.mechanisms}
@@ -491,14 +445,13 @@ def _timed_stream(stream: Iterable, reg) -> Iterator:
 class _ShardRun:
     """One shard's live execution state and transitions.
 
-    The per-shard half of the engine driver, shared verbatim by the
-    single-shard task path (:func:`run_shard`) and the group-owned
-    worker path (:func:`run_shard_group`): consumer state (loaded from a
-    checkpoint or fresh), the chunk clock, the batched timestamping
-    accumulation, and the chunk-boundary checkpoint/telemetry plumbing.
-    Because both paths drive shards through these same methods in the
-    same per-shard event order, a shard's partial - and its checkpoint
-    bytes - cannot depend on which scheduling mode ran it.
+    The per-shard half of the engine driver (:func:`run_shard_group`
+    owns one per shard): consumer state (loaded from a checkpoint or
+    fresh), the chunk clock, the batched timestamping accumulation, and
+    the chunk-boundary checkpoint/telemetry plumbing.  Every group
+    drives its shards through these same methods in the same per-shard
+    event order, so a shard's partial - and its checkpoint bytes -
+    cannot depend on which group, or how many workers, ran it.
     """
 
     def __init__(self, config: EngineConfig, shard_id: int, scenario,
@@ -518,12 +471,6 @@ class _ShardRun:
             self.raw_consumed = checkpoint.raw_events_consumed
             self.inserts_done = checkpoint.inserts_done
             self.chunks_done = checkpoint.chunks_done
-            if config.timestamps and self.consumers.clocks is not None:
-                # The pickled kernels carry the backend they ran under; the
-                # resuming configuration wins (backends are bit-identical by
-                # contract, so this is purely a wall-clock choice).
-                for kernel in self.consumers.clocks.values():
-                    kernel.set_backend(config.backend)
         else:
             self.consumers = _fresh_consumers(config, shard_id, scenario.expires)
             self.partial = PartialResult()
@@ -547,7 +494,7 @@ class _ShardRun:
         # (append-only clocks ignore expiry), so their runs are cut by
         # chunk boundaries and the memory cap - not by the lifecycle
         # ticks that cut mechanism runs.  This is what amortises the
-        # backends' working-state setup over thousands of events even on
+        # kernel's per-batch setup over thousands of events even on
         # churn-heavy streams.
         self.kernel_pending: List[Tuple[object, object]] = []
         self.kernel_start = self.inserts_done
@@ -811,29 +758,6 @@ class _ShardRun:
 def run_shard_group(
     config: EngineConfig, shard_ids: Sequence[int]
 ) -> Dict[int, PartialResult]:
-    """Pin ``config.rotation`` (if set) around :func:`_run_shard_group`.
-
-    The strategy is installed as the process default for the duration of
-    the task and the previous *override* (not the resolved name) is
-    restored in a ``finally``, so a surrounding environment-variable
-    default survives the scope - the same discipline the ratio sweep
-    applies to kernel backends.  Runs in the pool worker process when
-    the engine is worker-pooled, which is exactly where the pin must
-    live.
-    """
-    if config.rotation is None:
-        return _run_shard_group(config, shard_ids)
-    saved = default_rotation_override()
-    set_default_rotation(config.rotation)
-    try:
-        return _run_shard_group(config, shard_ids)
-    finally:
-        set_default_rotation(saved)
-
-
-def _run_shard_group(
-    config: EngineConfig, shard_ids: Sequence[int]
-) -> Dict[int, PartialResult]:
     """Run a contiguous group of shards to completion in ONE stream pass.
 
     The worker-pooled engine's task body: the base stream is regenerated
@@ -844,7 +768,7 @@ def _run_shard_group(
     evolve exactly as a dedicated :func:`run_shard` pass would evolve
     them - per-shard resume skips included - which is what makes
     checkpoints (and the merged fingerprint) interchangeable across
-    ``workers`` counts and with the per-shard ``jobs`` mode.
+    ``workers`` counts.
 
     Returns the per-shard partials keyed by shard id.  Raises
     :class:`EngineInterrupted` when any owned shard hits the
@@ -1015,12 +939,6 @@ def run_shard(config: EngineConfig, shard_id: int) -> PartialResult:
     return run_shard_group(config, (shard_id,))[shard_id]
 
 
-def run_shard_task(task: Tuple[EngineConfig, int]) -> PartialResult:
-    """Module-level task entry point (picklable for the process pool)."""
-    config, shard_id = task
-    return run_shard(config, shard_id)
-
-
 def run_shard_group_task(
     task: Tuple[EngineConfig, Tuple[int, ...]],
 ) -> Dict[int, PartialResult]:
@@ -1029,23 +947,20 @@ def run_shard_group_task(
     return run_shard_group(config, shard_ids)
 
 
-def run_engine(config: EngineConfig, jobs: int = 1) -> EngineResult:
-    """Run every shard of ``config`` and merge, on one of two schedules.
+def run_engine(config: EngineConfig) -> EngineResult:
+    """Run every shard of ``config`` and merge.
 
-    ``config.workers`` set: the shards are dealt into that many
-    contiguous :class:`~repro.engine.sharding.ShardGroup`\\ s and each
-    group runs as one task - on a persistent worker pool when the plan
-    has more than one group, in-process otherwise - with the stream
-    generated once per worker.  ``config.workers`` unset: the original
-    one-task-per-shard decomposition driven by ``jobs``.
-
-    Either way the merge folds shard partials in shard-id order - the
-    fixed merge tree that keeps results independent of scheduling.  With
-    a checkpoint directory configured, completed shards short-circuit
+    The shards are dealt into ``config.workers`` contiguous
+    :class:`~repro.engine.sharding.ShardGroup`\\ s and each group runs as
+    one task - on a persistent worker pool when the plan has more than
+    one group, in-process otherwise - with the stream generated once per
+    group.  The merge folds shard partials in shard-id order - the fixed
+    merge tree that keeps results independent of scheduling.  With a
+    checkpoint directory configured, completed shards short-circuit
     through their checkpoints, so re-invoking after an interruption (or
     an :class:`EngineInterrupted`) finishes the remaining work only -
-    and the resuming invocation may use any ``workers``/``jobs``
-    combination, not the interrupted one's.
+    and the resuming invocation may use any ``workers`` count, not the
+    interrupted one's.
     """
     config.validate()
     if config.checkpoint_dir:
@@ -1053,64 +968,38 @@ def run_engine(config: EngineConfig, jobs: int = 1) -> EngineResult:
         # worker is spawned.
         EngineCheckpointManager(config.checkpoint_dir, config.signature())
     registry = _metrics_active()
-    if config.workers is not None:
-        if jobs > 1:
-            raise EngineError(
-                f"config.workers={config.workers} owns the worker pool; "
-                f"leave jobs at 1 (got {jobs}) - the two are alternative "
-                f"scheduling modes"
-            )
-        groups = plan_shard_groups(config.num_shards, config.workers)
-        executor = ShardExecutor(len(groups) if config.workers > 1 else 1)
-        group_tasks = [(config, group.shard_ids) for group in groups]
-        if registry is None:
-            grouped = executor.map(run_shard_group_task, group_tasks)
-        else:
-            # Deferred import: the telemetry bridge imports this module back.
-            from repro.engine.telemetry import (
-                absorb_snapshots,
-                run_shard_group_task_with_metrics,
-            )
-
-            registry.gauge("engine.workers", len(groups))
-            registry.gauge("engine.num_shards", config.num_shards)
-            with registry.span(
-                "engine.map", workers=len(groups), shards=config.num_shards
-            ):
-                outcomes = executor.map(
-                    run_shard_group_task_with_metrics, group_tasks
-                )
-            grouped = [partials for partials, _snapshot in outcomes]
-            # Group-id order == shard-id order (groups are contiguous and
-            # ascending), mirroring the result merge tree.
-            absorb_snapshots(
-                registry, [snapshot for _partials, snapshot in outcomes]
-            )
-        partials = [
-            grouped[index][shard_id]
-            for index, group in enumerate(groups)
-            for shard_id in group.shard_ids
-        ]
+    groups = plan_shard_groups(config.num_shards, config.workers)
+    group_tasks = [(config, group.shard_ids) for group in groups]
+    if registry is None:
+        grouped = execute_tasks(
+            run_shard_group_task, group_tasks, jobs=len(groups)
+        )
     else:
-        executor = ShardExecutor(jobs)
-        tasks = [(config, shard_id) for shard_id in range(config.num_shards)]
-        if registry is None:
-            partials = executor.map(run_shard_task, tasks)
-        else:
-            # Deferred import: the telemetry bridge imports this module back.
-            from repro.engine.telemetry import (
-                absorb_snapshots,
-                run_shard_task_with_metrics,
-            )
+        # Deferred import: the telemetry bridge imports this module back.
+        from repro.engine.telemetry import (
+            absorb_snapshots,
+            run_shard_group_task_with_metrics,
+        )
 
-            registry.gauge("engine.jobs", jobs)
-            registry.gauge("engine.num_shards", config.num_shards)
-            with registry.span("engine.map", jobs=jobs, shards=config.num_shards):
-                outcomes = executor.map(run_shard_task_with_metrics, tasks)
-            partials = [partial for partial, _snapshot in outcomes]
-            # Shard-id order, the same fixed tree the result merge uses, so
-            # the combined telemetry is independent of worker scheduling.
-            absorb_snapshots(registry, [snapshot for _partial, snapshot in outcomes])
+        registry.gauge("engine.workers", len(groups))
+        registry.gauge("engine.num_shards", config.num_shards)
+        with registry.span(
+            "engine.map", workers=len(groups), shards=config.num_shards
+        ):
+            outcomes = execute_tasks(
+                run_shard_group_task_with_metrics, group_tasks, jobs=len(groups)
+            )
+        grouped = [partials for partials, _snapshot in outcomes]
+        # Group-id order == shard-id order (groups are contiguous and
+        # ascending), mirroring the result merge tree.
+        absorb_snapshots(
+            registry, [snapshot for _partials, snapshot in outcomes]
+        )
+    partials = [
+        grouped[index][shard_id]
+        for index, group in enumerate(groups)
+        for shard_id in group.shard_ids
+    ]
     with _metrics_span("engine.merge"):
         merged = merge_partials(partials)
     return EngineResult(

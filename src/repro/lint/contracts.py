@@ -9,17 +9,11 @@ violate silently:
 * ``C201`` - the hoisted ``observe_batch`` fast path must keep the
   ``super()`` fallback guard, or subclass hook overrides are silently
   skipped in batched runs (bit-identity between pipelines breaks);
-* ``C202`` - a kernel backend must override the *whole* bit-identity
-  surface or none of it, or batches mix backends mid-run;
 * ``C203`` - every ``EngineConfig`` field needs an explicit decision
   about run-signature membership (the ``timestamps``-in-signature class
   of bug from PR 5);
 * ``C204`` - a scenario factory that accepts a seed must consume it, or
   two differently-seeded runs silently produce the same stream;
-* ``C205`` - a ``ClockKernel`` method that mutates clock state or
-  component layout must touch the resident-array cache (invalidate,
-  evict, or assign it) or be listed in ``CACHE_SAFE_METHODS``, or the
-  numpy backend serves stale vectors from its cross-batch cache;
 * ``C206`` - result-path modules may *write* telemetry (counters,
   spans) but never *read* it back: a branch on a metrics value makes
   results a function of timing, breaking fingerprint identity between
@@ -32,10 +26,6 @@ import ast
 from typing import Iterator, List, Set
 
 from repro.lint.engine import FileContext, Finding, Rule
-
-#: The kernel-backend methods that must agree bit-for-bit across backends.
-KERNEL_SURFACE = ("advance_batch", "timestamp_batch")
-
 
 def _finding(ctx: FileContext, node: ast.AST, rule: Rule, message: str) -> Finding:
     return Finding(
@@ -120,51 +110,6 @@ class MechanismBatchGuardRule(Rule):
             ):
                 return True
         return False
-
-
-class KernelSurfaceRule(Rule):
-    """A kernel backend must cover the whole bit-identity surface.
-
-    ``KernelBackend`` strategies promise that ``advance_batch`` and
-    ``timestamp_batch`` produce byte-identical results across backends -
-    the property tests compare them pairwise.  A subclass overriding only
-    one of the two runs half its batches through the parent backend: the
-    mixed implementation can pass single-method tests while its two
-    halves disagree about internal layout (e.g. a vectorised
-    ``advance_batch`` updating arrays the inherited ``timestamp_batch``
-    never reads).
-
-    The rule requires an ``*KernelBackend`` subclass to override both
-    surface methods or neither.  Intentional partial specialisations
-    (e.g. overriding only ``name`` or checkpoint behaviour) are
-    untouched; a genuinely safe half-override can ``noqa`` with the
-    invariant that makes it safe.
-    """
-
-    id = "C202"
-    name = "kernel-backend-surface"
-    summary = "KernelBackend subclass overrides only part of the bit-identity surface"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not any(
-                name.endswith("KernelBackend") for name in _base_names(node, ctx)
-            ):
-                continue
-            overridden = [m for m in KERNEL_SURFACE if m in _methods(node)]
-            if overridden and len(overridden) < len(KERNEL_SURFACE):
-                missing = [m for m in KERNEL_SURFACE if m not in overridden]
-                yield _finding(
-                    ctx,
-                    node,
-                    self,
-                    f"{node.name} overrides {', '.join(overridden)} but not "
-                    f"{', '.join(missing)}; the bit-identity surface "
-                    f"({', '.join(KERNEL_SURFACE)}) must be overridden "
-                    "together or not at all",
-                )
 
 
 class EngineConfigSignatureRule(Rule):
@@ -294,138 +239,6 @@ class ScenarioSeedRule(Rule):
         return False
 
 
-#: ``ClockKernel`` attributes whose mutation can strand the resident-array
-#: cache (the stamp dicts the cache shadows, plus the layout bindings its
-#: pure-append pad model depends on).
-KERNEL_CLOCK_STATE = (
-    "_thread_stamps",
-    "_object_stamps",
-    "_components",
-    "_thread_slot",
-    "_object_slot",
-)
-
-#: Dict/collection method calls that mutate their receiver in place.
-_MUTATING_METHODS = frozenset({"clear", "pop", "popitem", "update", "setdefault"})
-
-#: ``self.<method>(...)`` calls that mutate clock state transitively.
-_MUTATING_DELEGATES = frozenset(
-    {"_bind_components", "_rebase_stamps", "_project_stamps"}
-)
-
-#: Cache hooks whose call satisfies the contract.
-_CACHE_HOOKS = frozenset({"_invalidate_cache", "_cache_evict"})
-
-
-class KernelCacheInvalidationRule(Rule):
-    """A ``ClockKernel`` mutation must keep the resident-array cache coherent.
-
-    The numpy backend keeps touched clock vectors resident as ``int64``
-    arrays *across* batches (``_ArrayCache``), trusting the stamp dicts
-    and the cached arrays to describe the same clocks.  Any method that
-    mutates clock state behind the cache's back - writing the stamp
-    dicts, rebinding ``_components``/slot maps, or delegating to
-    ``_bind_components``/``_rebase_stamps``/``_project_stamps`` - leaves
-    stale vectors that
-    the next batch silently reads: fingerprints diverge between cached
-    and uncached runs, the worst kind of nondeterminism because it only
-    appears after a warm-up.
-
-    The rule requires every such method to do one of:
-
-    * call ``self._invalidate_cache(...)`` (wholesale drop - always safe),
-    * call ``self._cache_evict(...)`` (targeted per-event eviction),
-    * assign ``self._cache`` directly (e.g. ``__setstate__`` restoring
-      the no-cache invariant), or
-    * be listed in the module-level ``CACHE_SAFE_METHODS`` tuple, whose
-      entries carry the written-down reason the mutation is coherent
-      without cache action (e.g. ``extend_components``: pure append,
-      reconciled by the cache's deferred pad-on-read ``sync``).
-
-    The exemption set keeps the decision auditable: a new mutating
-    method either visibly touches the cache or names itself next to a
-    justification, never neither.
-    """
-
-    id = "C205"
-    name = "kernel-cache-invalidation"
-    summary = "ClockKernel mutation without a resident-cache coherence action"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef) or node.name != "ClockKernel":
-                continue
-            exempt = _declared_exclusions(ctx.tree, "CACHE_SAFE_METHODS")
-            for name, method in _methods(node).items():
-                if name in exempt or name in _CACHE_HOOKS:
-                    continue
-                if self._mutates_clock_state(method) and not self._touches_cache(
-                    method
-                ):
-                    yield _finding(
-                        ctx,
-                        method,
-                        self,
-                        f"ClockKernel.{name} mutates clock state without a "
-                        "cache-coherence action; call _invalidate_cache/"
-                        "_cache_evict, assign self._cache, or list the "
-                        "method in CACHE_SAFE_METHODS with its reasoning",
-                    )
-
-    @staticmethod
-    def _is_self_attr(node: ast.AST, names) -> bool:
-        return (
-            isinstance(node, ast.Attribute)
-            and node.attr in names
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        )
-
-    @classmethod
-    def _mutates_clock_state(cls, method: ast.AST) -> bool:
-        for node in ast.walk(method):
-            # self._thread_stamps[k] = v  /  del self._thread_stamps[k]
-            if (
-                isinstance(node, ast.Subscript)
-                and isinstance(node.ctx, (ast.Store, ast.Del))
-                and cls._is_self_attr(node.value, KERNEL_CLOCK_STATE)
-            ):
-                return True
-            # self._components = ...  (rebinding layout state)
-            if isinstance(node, ast.Attribute) and isinstance(
-                node.ctx, (ast.Store, ast.Del)
-            ):
-                if cls._is_self_attr(node, KERNEL_CLOCK_STATE):
-                    return True
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                # self._thread_stamps.clear() and friends
-                if node.func.attr in _MUTATING_METHODS and cls._is_self_attr(
-                    node.func.value, KERNEL_CLOCK_STATE
-                ):
-                    return True
-                # self._bind_components(...) / self._rebase_stamps(...)
-                if cls._is_self_attr(node.func, _MUTATING_DELEGATES):
-                    return True
-        return False
-
-    @classmethod
-    def _touches_cache(cls, method: ast.AST) -> bool:
-        for node in ast.walk(method):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and cls._is_self_attr(node.func, _CACHE_HOOKS)
-            ):
-                return True
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Store)
-                and cls._is_self_attr(node, ("_cache",))
-            ):
-                return True
-        return False
-
-
 #: Module path prefixes whose code feeds the fingerprint (directly or via
 #: merged partials).  Telemetry in these modules is write-only: counters
 #: and spans may be *recorded*, never read back into control flow.
@@ -551,9 +364,7 @@ class TelemetryReadRule(Rule):
 
 CONTRACT_RULES = (
     MechanismBatchGuardRule,
-    KernelSurfaceRule,
     EngineConfigSignatureRule,
     ScenarioSeedRule,
-    KernelCacheInvalidationRule,
     TelemetryReadRule,
 )

@@ -59,18 +59,10 @@ def _histogram_row(name: str, sketch: Any) -> Dict[str, Any]:
 
 def _derived(counters: Dict[str, int]) -> Dict[str, Any]:
     """Ratios the raw counters imply but readers should not recompute."""
-    hits = counters.get("kernel.array_cache.hits", 0)
-    misses = counters.get("kernel.array_cache.misses", 0)
-    total = hits + misses
-    python_events = counters.get("kernel.batch.python_events", 0)
-    array_events = counters.get("kernel.batch.array_events", 0)
-    batched = python_events + array_events
     delta = counters.get("clock.rotation.delta", 0)
     replay = counters.get("clock.rotation.replay", 0)
     rotations = delta + replay
     return {
-        "kernel_cache_hit_rate": (hits / total) if total else None,
-        "kernel_array_path_share": (array_events / batched) if batched else None,
         "rotation_delta_share": (delta / rotations) if rotations else None,
     }
 

@@ -1,4 +1,4 @@
-"""The batched hot-path pipeline: bit-identity, backends, gating, resume.
+"""The batched hot-path pipeline: bit-identity and resume.
 
 Three layers of the chunked execution path are pinned down here:
 
@@ -8,13 +8,11 @@ Three layers of the chunked execution path are pinned down here:
   sizes leaves *identical* state - decisions, component order, revealed
   graph, counters - to per-event ``observe``/``expire``/``end_epoch``;
 * **kernel** - ``timestamp_batch`` / ``advance_batch`` mint/fold exactly
-  what per-event ``observe`` does, for every available backend, across
-  random chunkings and mid-stream component extensions; the numpy
-  backend is *gated*: without numpy it is unselectable with a clean
-  error and everything else keeps working;
-* **engine** - the run_shard pipelines ({per-event, batched} x
-  {python, numpy} x jobs) produce one fingerprint, including the stamp
-  digests, through interrupt/resume mid-run and checkpointed restarts.
+  what per-event ``observe`` does, across random chunkings and
+  mid-stream component extensions;
+* **engine** - the per-event and batched pipelines produce one
+  fingerprint, including the stamp digests, through interrupt/resume
+  mid-run and checkpointed restarts.
 """
 
 from __future__ import annotations
@@ -28,25 +26,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.kernel as kernel_module
 from repro.analysis.experiments import EXTENDED_MECHANISMS
 from repro.cli import main
 from repro.computation.streams import epoch_marker, iter_event_batches, StreamEvent
 from repro.core.components import ClockComponents
-from repro.core.kernel import (
-    ClockKernel,
-    available_backends,
-    fold_stamp_values,
-    numpy_available,
-    resolve_backend,
-    set_default_backend,
-)
+from repro.core.kernel import ClockKernel, fold_stamp_values
 from repro.engine import EngineCheckpointManager, EngineConfig, run_engine
 from repro.engine.runner import EngineInterrupted
-from repro.exceptions import ClockError, ComputationError, EngineError
+from repro.exceptions import ComputationError, EngineError
 from repro.online.adaptive import WindowedPopularityMechanism
-
-BACKENDS = available_backends()
 
 
 # ---------------------------------------------------------------------------
@@ -222,31 +210,28 @@ class TestKernelBatchBitIdentity:
             ref_stamps.append(reference.observe(thread, obj))
         if extension_at == len(pairs):
             reference.extend_components(thread_components=("T6",))
-        for backend in BACKENDS:
-            kernel = ClockKernel(components, backend=backend)
-            stamps = []
-            rng = random.Random(chunk_seed)
-            cursor = 0
-            extended = False
-            while cursor < len(pairs):
-                if not extended and cursor >= extension_at:
-                    kernel.extend_components(thread_components=("T6",))
-                    extended = True
-                boundary = len(pairs) if extended else extension_at
-                cut = min(cursor + rng.randint(1, 17), boundary)
-                stamps.extend(kernel.timestamp_batch(pairs[cursor:cut]))
-                cursor = cut
-            if not extended:
+        kernel = ClockKernel(components)
+        stamps = []
+        rng = random.Random(chunk_seed)
+        cursor = 0
+        extended = False
+        while cursor < len(pairs):
+            if not extended and cursor >= extension_at:
                 kernel.extend_components(thread_components=("T6",))
-            assert [s.values for s in stamps] == [
-                s.values for s in ref_stamps
-            ], backend
-            # The stored per-entity clocks agree too (value-wise).
-            for thread, _ in pairs:
-                assert (
-                    kernel.thread_stamp(thread).values
-                    == reference.thread_stamp(thread).values
-                ), backend
+                extended = True
+            boundary = len(pairs) if extended else extension_at
+            cut = min(cursor + rng.randint(1, 17), boundary)
+            stamps.extend(kernel.timestamp_batch(pairs[cursor:cut]))
+            cursor = cut
+        if not extended:
+            kernel.extend_components(thread_components=("T6",))
+        assert [s.values for s in stamps] == [s.values for s in ref_stamps]
+        # The stored per-entity clocks agree too (value-wise).
+        for thread, _ in pairs:
+            assert (
+                kernel.thread_stamp(thread).values
+                == reference.thread_stamp(thread).values
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(run=kernel_runs(), chunk_seed=st.integers(0, 2**16))
@@ -257,31 +242,28 @@ class TestKernelBatchBitIdentity:
         for thread, obj in pairs:
             stamp = reference.observe(thread, obj)
             fold = reference.fold_event(fold, stamp, thread, obj)
-        for backend in BACKENDS:
-            kernel = ClockKernel(components, backend=backend)
-            batched_fold = 0
-            rng = random.Random(chunk_seed)
-            cursor = 0
-            while cursor < len(pairs):
-                cut = min(cursor + rng.randint(1, 17), len(pairs))
-                batched_fold = kernel.advance_batch(
-                    pairs[cursor:cut], batched_fold
-                )
-                cursor = cut
-            assert batched_fold == fold, backend
-            for thread, _ in pairs:
-                assert (
-                    kernel.thread_stamp(thread).values
-                    == reference.thread_stamp(thread).values
-                ), backend
+        kernel = ClockKernel(components)
+        batched_fold = 0
+        rng = random.Random(chunk_seed)
+        cursor = 0
+        while cursor < len(pairs):
+            cut = min(cursor + rng.randint(1, 17), len(pairs))
+            batched_fold = kernel.advance_batch(pairs[cursor:cut], batched_fold)
+            cursor = cut
+        assert batched_fold == fold
+        for thread, _ in pairs:
+            assert (
+                kernel.thread_stamp(thread).values
+                == reference.thread_stamp(thread).values
+            )
 
     def test_strict_batch_raises_and_applies_prefix(self):
         components = ClockComponents(thread_components=["T0"])
         pairs = [("T0", "O0"), ("T1", "O1"), ("T0", "O2")]
-        for backend in BACKENDS:
-            kernel = ClockKernel(components, backend=backend)
+        for batch in (ClockKernel.timestamp_batch, ClockKernel.advance_batch):
+            kernel = ClockKernel(components)
             with pytest.raises(Exception) as excinfo:
-                kernel.timestamp_batch(pairs)
+                batch(kernel, pairs)
             assert "not covered" in str(excinfo.value)
             # The covered prefix was applied, like a sequential loop.
             assert kernel.thread_stamp("T0").values == (1,)
@@ -291,10 +273,9 @@ class TestKernelBatchBitIdentity:
         pairs = [("T0", "O0"), ("T1", "O0"), ("T0", "O1")]
         reference = ClockKernel(components, strict=False)
         expected = [reference.observe(t, o).values for t, o in pairs]
-        for backend in BACKENDS:
-            kernel = ClockKernel(components, strict=False, backend=backend)
-            stamps = kernel.timestamp_batch(pairs)
-            assert [s.values for s in stamps] == expected, backend
+        kernel = ClockKernel(components, strict=False)
+        stamps = kernel.timestamp_batch(pairs)
+        assert [s.values for s in stamps] == expected
 
     def test_fold_is_order_sensitive(self):
         a = fold_stamp_values(fold_stamp_values(0, 1, 2), 3, 4)
@@ -308,192 +289,14 @@ class TestKernelBatchBitIdentity:
         reference = EpochClock(components)
         pairs = [("T0", "O0"), ("T1", "O0"), ("T0", "O1")]
         ref_tokens = [reference.observe(t, o) for t, o in pairs]
-        for backend in BACKENDS:
-            clock = EpochClock(components, backend=backend)
-            tokens = clock.observe_batch(pairs)
-            assert tokens == ref_tokens
-            for token in tokens:
-                assert (
-                    clock.timestamp(token).values
-                    == reference.timestamp(token).values
-                )
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-class TestNumpyArrayPath:
-    """Bit-identity of the *array-resident* numpy loop specifically.
-
-    The hypothesis suites above use small clocks and short chunks, which
-    the numpy backend's crossover gates route to the Python fallback -
-    correct, but it would mask a bug in the array loop itself.  These
-    tests sit above both gates (clock width >= MIN_ARRAY_DIM_MINT,
-    batches >= MIN_ARRAY_BATCH) and assert the gate is actually open.
-    """
-
-    WIDTH = 200  # > MIN_ARRAY_DIM_MINT (160) > MIN_ARRAY_DIM_ADVANCE (48)
-    CHUNK = 96   # > MIN_ARRAY_BATCH (48)
-
-    def _setup(self, seed):
-        rng = random.Random(seed)
-        threads = [f"T{i}" for i in range(160)]
-        objects = [f"O{i}" for i in range(60)]
-        components = ClockComponents(threads[:150], objects[:50])
-        pairs = [
-            (rng.choice(threads[:150]), rng.choice(objects))
-            for _ in range(480)
-        ]
-        return components, threads, pairs
-
-    def _assert_gate_open(self, kernel, chunk):
-        from repro.core.kernel import NumpyKernelBackend
-
-        backend = kernel._backend
-        assert isinstance(backend, NumpyKernelBackend)
-        assert backend._use_arrays(
-            kernel, [None] * chunk, backend.MIN_ARRAY_DIM_MINT
-        ), "test sizes no longer clear the array-path gates; raise them"
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_mint_matches_per_event(self, seed):
-        components, threads, pairs = self._setup(seed)
-        reference = ClockKernel(components)
-        ref_stamps = []
-        for index, (thread, obj) in enumerate(pairs):
-            if index == 288:
-                reference.extend_components(thread_components=(threads[155],))
-            ref_stamps.append(reference.observe(thread, obj))
-        kernel = ClockKernel(components, backend="numpy")
-        self._assert_gate_open(kernel, self.CHUNK)
-        stamps = []
-        for start in range(0, len(pairs), self.CHUNK):
-            if start == 288:
-                kernel.extend_components(thread_components=(threads[155],))
-            stamps.extend(
-                kernel.timestamp_batch(pairs[start:start + self.CHUNK])
-            )
-        assert [s.values for s in stamps] == [s.values for s in ref_stamps]
-        assert all(
-            type(value) is int for stamp in stamps for value in stamp.values
-        )
-        for thread, _ in pairs:
+        clock = EpochClock(components)
+        tokens = clock.observe_batch(pairs)
+        assert tokens == ref_tokens
+        for token in tokens:
             assert (
-                kernel.thread_stamp(thread).values
-                == reference.thread_stamp(thread).values
+                clock.timestamp(token).values
+                == reference.timestamp(token).values
             )
-
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_advance_matches_per_event_fold(self, seed):
-        components, _, pairs = self._setup(seed)
-        reference = ClockKernel(components)
-        fold = 0
-        for thread, obj in pairs:
-            stamp = reference.observe(thread, obj)
-            fold = reference.fold_event(fold, stamp, thread, obj)
-        kernel = ClockKernel(components, backend="numpy")
-        batched_fold = 0
-        for start in range(0, len(pairs), self.CHUNK):
-            batched_fold = kernel.advance_batch(
-                pairs[start:start + self.CHUNK], batched_fold
-            )
-        assert batched_fold == fold
-        for _, obj in pairs:
-            assert (
-                kernel.object_stamp(obj).values
-                == reference.object_stamp(obj).values
-            )
-
-    def test_strict_error_applies_prefix_on_array_path(self):
-        components, _, pairs = self._setup(9)
-        poisoned = pairs[: self.CHUNK]
-        poisoned[60] = ("T-unknown", "O-unknown")
-        reference = ClockKernel(components)
-        for thread, obj in poisoned[:60]:
-            reference.observe(thread, obj)
-        kernel = ClockKernel(components, backend="numpy")
-        self._assert_gate_open(kernel, len(poisoned))
-        with pytest.raises(Exception, match="not covered"):
-            kernel.timestamp_batch(poisoned)
-        for thread, obj in poisoned[:60]:
-            assert (
-                kernel.thread_stamp(thread).values
-                == reference.thread_stamp(thread).values
-            )
-            assert (
-                kernel.object_stamp(obj).values
-                == reference.object_stamp(obj).values
-            )
-
-
-# ---------------------------------------------------------------------------
-# Backend gating
-# ---------------------------------------------------------------------------
-class TestBackendGate:
-    def test_python_always_available(self):
-        assert "python" in available_backends()
-        assert resolve_backend("python").name == "python"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ClockError, match="unknown kernel backend"):
-            resolve_backend("fortran")
-
-    def test_numpy_gate_degrades_cleanly(self, monkeypatch):
-        """Without numpy: python-only listing, clean errors, working kernels."""
-        monkeypatch.setattr(kernel_module, "_np", None)
-        # The CI numpy job exports REPRO_KERNEL_BACKEND=numpy; this test
-        # simulates numpy's *absence*, so clear the ambient selection.
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert available_backends() == ("python",)
-        assert not numpy_available()
-        with pytest.raises(ClockError, match="numpy is not importable"):
-            resolve_backend("numpy")
-        with pytest.raises(EngineError, match="numpy is not importable"):
-            EngineConfig(
-                scenario="thread-churn", backend="numpy"
-            ).validate()
-        # The python path is untouched by the gate.
-        kernel = ClockKernel(ClockComponents(thread_components=["T0"]))
-        assert kernel.timestamp_batch([("T0", "O0")])[0].values == (1,)
-
-    def test_env_var_selects_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "python")
-        kernel = ClockKernel(ClockComponents(thread_components=["T0"]))
-        assert kernel.backend_name == "python"
-
-    def test_set_default_backend_validates(self):
-        with pytest.raises(ClockError):
-            set_default_backend("no-such-backend")
-        try:
-            set_default_backend("python")
-            assert ClockKernel(ClockComponents()).backend_name == "python"
-        finally:
-            set_default_backend(None)
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_numpy_backend_pickles_by_name(self):
-        import pickle
-
-        kernel = ClockKernel(
-            ClockComponents(thread_components=["T0"]), backend="numpy"
-        )
-        clone = pickle.loads(pickle.dumps(kernel))
-        assert clone.backend_name == "numpy"
-        clone.set_backend("python")
-        assert clone.backend_name == "python"
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_numpy_checkpoint_unpickles_without_numpy(self, monkeypatch):
-        """A shard pickled under numpy loads on a numpy-less host."""
-        import pickle
-
-        kernel = ClockKernel(
-            ClockComponents(thread_components=["T0"]), backend="numpy"
-        )
-        kernel.observe("T0", "O0")
-        payload = pickle.dumps(kernel)
-        monkeypatch.setattr(kernel_module, "_np", None)
-        clone = pickle.loads(payload)
-        assert clone.backend_name == "python"
-        assert clone.thread_stamp("T0").values == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +319,12 @@ MATRIX_CONFIG = dict(
 
 class TestEnginePipelines:
     def test_fingerprint_matrix(self):
-        fingerprints = {}
-        for pipeline in ("per-event", "batched"):
-            for backend in BACKENDS:
-                config = EngineConfig(
-                    pipeline=pipeline, backend=backend, **MATRIX_CONFIG
-                )
-                fingerprints[(pipeline, backend)] = run_engine(
-                    config
-                ).fingerprint()
+        fingerprints = {
+            pipeline: run_engine(
+                EngineConfig(pipeline=pipeline, **MATRIX_CONFIG)
+            ).fingerprint()
+            for pipeline in ("per-event", "batched")
+        }
         assert len(set(fingerprints.values())) == 1, fingerprints
 
     def test_stamp_digests_present_and_carried(self):
@@ -587,20 +387,6 @@ class TestEnginePipelines:
         with pytest.raises(EngineInterrupted):
             run_engine(dataclasses.replace(config, max_chunks_per_shard=1))
         resumed = run_engine(config)
-        assert resumed.fingerprint() == reference.fingerprint()
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_resume_under_different_backend(self, tmp_path):
-        """A run checkpointed under one backend resumes under another."""
-        reference = run_engine(EngineConfig(**MATRIX_CONFIG))
-        config = EngineConfig(
-            checkpoint_dir=str(tmp_path / "ckpt"),
-            backend="python",
-            **MATRIX_CONFIG,
-        )
-        with pytest.raises(EngineInterrupted):
-            run_engine(dataclasses.replace(config, max_chunks_per_shard=1))
-        resumed = run_engine(dataclasses.replace(config, backend="numpy"))
         assert resumed.fingerprint() == reference.fingerprint()
 
     def test_timestamps_key_absent_from_default_signature(self):
@@ -749,14 +535,13 @@ class TestMaxAgePrune:
 # CLI surface
 # ---------------------------------------------------------------------------
 class TestCli:
-    def test_engine_run_pipeline_backend_timestamps(self, capsys):
+    def test_engine_run_pipeline_timestamps(self, capsys):
         code = main(
             [
                 "engine", "run", "--scenario", "thread-churn",
                 "--events", "400", "--nodes", "15", "--shards", "2",
                 "--chunk-size", "100", "--mechanisms", "naive",
-                "--pipeline", "per-event", "--backend", "python",
-                "--timestamps",
+                "--pipeline", "per-event", "--timestamps",
             ]
         )
         out_per_event = capsys.readouterr().out
@@ -775,28 +560,21 @@ class TestCli:
         fp_b = [l for l in out_batched.splitlines() if "fingerprint" in l]
         assert fp_a == fp_b
 
-    def test_engine_run_rejects_numpy_without_numpy(self, capsys, monkeypatch):
-        monkeypatch.setattr(kernel_module, "_np", None)
-        code = main(
-            [
-                "engine", "run", "--scenario", "thread-churn",
-                "--events", "100", "--backend", "numpy",
-            ]
-        )
-        assert code == 2
-        assert "numpy is not importable" in capsys.readouterr().err
-
-    def test_sweep_ratio_backend(self, capsys):
-        code = main(
-            [
-                "sweep", "ratio", "--scenario", "thread-churn",
-                "--trials", "1", "--nodes", "10", "--density", "0.2",
-                "--events", "150", "--burn-in", "30", "--tail", "30",
-                "--backend", "python",
-            ]
-        )
-        assert code == 0
-        assert "ratio-sweep-thread-churn" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["engine", "run", "--scenario", "thread-churn", "--backend", "python"],
+            ["engine", "run", "--scenario", "thread-churn", "--rotation", "delta"],
+            ["sweep", "ratio", "--scenario", "thread-churn", "--backend", "python"],
+        ],
+        ids=["engine-backend", "engine-rotation", "sweep-backend"],
+    )
+    def test_kernel_path_options_do_not_exist(self, argv, capsys):
+        # One kernel loop and one rotation default: nothing to select.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_engine_clean_max_age(self, tmp_path, capsys):
         config = EngineConfig(

@@ -13,12 +13,12 @@ groups, one stream pass per pool worker - without being allowed to touch
 * :class:`WorkerPool` - task order, exception transport (original type
   preserved across the process boundary), dead-worker detection;
 * ``run_engine(workers=w)`` - the hypothesis property that every
-  registered stream scenario, on every available kernel backend, merges
-  to a fingerprint bit-identical to serial for any pool size, plus
-  interrupt/resume cycles that *cross* worker counts (checkpoint written
-  at ``workers=4``, resumed at ``workers=1``, and jobs-mode crossings);
+  registered stream scenario merges to a fingerprint bit-identical to
+  serial for any pool size, plus interrupt/resume cycles that *cross*
+  worker counts (checkpoint written at ``workers=4``, resumed at
+  ``workers=1``);
 * the CLI ``--workers`` surface and the telemetry invariants (counters
-  identical across scheduling modes; pool gauges present).
+  identical across worker counts; pool gauges present).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.computation.registry import REGISTRY, STREAM
 from repro.computation.streams import EXPIRE, StreamEvent, epoch_marker
-from repro.core.kernel import available_backends
 from repro.engine import (
     EngineConfig,
     EngineInterrupted,
@@ -51,7 +50,6 @@ from repro.exceptions import EngineError
 from repro.obs.registry import MetricsRegistry, disable, enable
 
 SCENARIOS = REGISTRY.names(STREAM)
-BACKENDS = available_backends()
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +306,7 @@ class TestWorkerPool:
 # ---------------------------------------------------------------------------
 # run_engine(workers=w): the fingerprint identity property
 # ---------------------------------------------------------------------------
-def _config(scenario, backend, seed, **extra):
+def _config(scenario, seed, **extra):
     return EngineConfig(
         scenario=scenario,
         num_threads=12,
@@ -318,7 +316,6 @@ def _config(scenario, backend, seed, **extra):
         seed=seed,
         num_shards=3,
         chunk_size=50,
-        backend=backend,
         timestamps=True,
         **extra,
     )
@@ -328,67 +325,59 @@ _serial_fingerprints = {}
 
 
 def _serial_fingerprint(config):
-    key = (config.scenario, config.backend, config.seed)
+    key = (config.scenario, config.seed)
     if key not in _serial_fingerprints:
-        _serial_fingerprints[key] = run_engine(config, jobs=1).fingerprint()
+        _serial_fingerprints[key] = run_engine(config).fingerprint()
     return _serial_fingerprints[key]
 
 
 class TestWorkersFingerprintIdentity:
     @given(
         scenario=st.sampled_from(SCENARIOS),
-        backend=st.sampled_from(BACKENDS),
         workers=st.integers(1, 4),
         seed=st.integers(0, 2**20),
     )
-    # Pin every registered scenario x available backend combination so
-    # the full matrix runs on every invocation, not just when hypothesis
-    # happens to draw it; random examples then vary workers and seed.
-    @example(scenario=SCENARIOS[0], backend=BACKENDS[0], workers=2, seed=2019)
-    @example(scenario=SCENARIOS[0], backend=BACKENDS[-1], workers=3, seed=2019)
-    @example(scenario=SCENARIOS[1], backend=BACKENDS[0], workers=2, seed=2019)
-    @example(scenario=SCENARIOS[1], backend=BACKENDS[-1], workers=3, seed=2019)
-    @example(scenario=SCENARIOS[2], backend=BACKENDS[0], workers=2, seed=2019)
-    @example(scenario=SCENARIOS[2], backend=BACKENDS[-1], workers=3, seed=2019)
+    # Pin every registered scenario so the full matrix runs on every
+    # invocation, not just when hypothesis happens to draw it; random
+    # examples then vary workers and seed.
+    @example(scenario=SCENARIOS[0], workers=2, seed=2019)
+    @example(scenario=SCENARIOS[0], workers=3, seed=2019)
+    @example(scenario=SCENARIOS[1], workers=2, seed=2019)
+    @example(scenario=SCENARIOS[1], workers=3, seed=2019)
+    @example(scenario=SCENARIOS[2], workers=2, seed=2019)
+    @example(scenario=SCENARIOS[2], workers=3, seed=2019)
     @settings(max_examples=10, deadline=None)
-    def test_workers_fingerprint_identical_to_serial(
-        self, scenario, backend, workers, seed
-    ):
-        config = _config(scenario, backend, seed)
+    def test_workers_fingerprint_identical_to_serial(self, scenario, workers, seed):
+        config = _config(scenario, seed)
         pooled = run_engine(replace(config, workers=workers))
         assert pooled.fingerprint() == _serial_fingerprint(config)
 
     def test_group_partials_equal_per_shard_partials(self):
         # One level down from the fingerprint: the group task's per-shard
         # partials are the same objects run_shard would have produced.
-        config = _config("thread-churn", None, 77)
+        config = _config("thread-churn", 77)
         grouped = run_shard_group(config, (0, 1, 2))
         for shard_id in range(3):
             assert grouped[shard_id] == run_shard(config, shard_id)
         merged = merge_partials(
             [grouped[shard_id] for shard_id in range(3)]
         )
-        assert merged == run_engine(config, jobs=1).partial
+        assert merged == run_engine(config).partial
 
     def test_workers_above_shards_clamp_in_run_engine(self):
-        config = _config("thread-churn", None, 5)
+        config = _config("thread-churn", 5)
         assert (
             run_engine(replace(config, workers=9)).fingerprint()
             == _serial_fingerprint(config)
         )
 
-    def test_workers_and_jobs_are_mutually_exclusive(self):
-        config = _config("thread-churn", None, 5, workers=2)
-        with pytest.raises(EngineError, match="workers"):
-            run_engine(config, jobs=2)
-
     def test_invalid_workers_rejected(self):
         with pytest.raises(EngineError, match="workers"):
-            run_engine(_config("thread-churn", None, 5, workers=0))
+            run_engine(_config("thread-churn", 5, workers=0))
 
 
 # ---------------------------------------------------------------------------
-# Interrupt/resume crossing worker counts (and scheduling modes)
+# Interrupt/resume crossing worker counts
 # ---------------------------------------------------------------------------
 class TestResumeAcrossWorkerCounts:
     BASE = EngineConfig(
@@ -404,7 +393,7 @@ class TestResumeAcrossWorkerCounts:
     )
 
     def _reference(self):
-        return run_engine(self.BASE, jobs=1).fingerprint()
+        return run_engine(self.BASE).fingerprint()
 
     def test_checkpoint_at_workers_4_resumes_at_workers_1(self, tmp_path):
         interrupted = replace(
@@ -442,32 +431,6 @@ class TestResumeAcrossWorkerCounts:
         )
         assert resumed.fingerprint() == self._reference()
 
-    def test_jobs_checkpoint_resumes_under_workers(self, tmp_path):
-        interrupted = replace(
-            self.BASE, checkpoint_dir=str(tmp_path), max_chunks_per_shard=1
-        )
-        with pytest.raises(EngineInterrupted):
-            run_engine(interrupted, jobs=1)
-        resumed = run_engine(
-            replace(self.BASE, checkpoint_dir=str(tmp_path), workers=2)
-        )
-        assert resumed.fingerprint() == self._reference()
-
-    def test_workers_checkpoint_resumes_under_jobs(self, tmp_path):
-        interrupted = replace(
-            self.BASE,
-            checkpoint_dir=str(tmp_path),
-            max_chunks_per_shard=1,
-            workers=3,
-        )
-        with pytest.raises(EngineInterrupted):
-            run_engine(interrupted)
-        resumed = run_engine(
-            replace(self.BASE, checkpoint_dir=str(tmp_path)), jobs=1
-        )
-        assert resumed.fingerprint() == self._reference()
-
-
 # ---------------------------------------------------------------------------
 # CLI surface and telemetry invariants
 # ---------------------------------------------------------------------------
@@ -487,8 +450,11 @@ class TestWorkersCli:
         assert "workers=2" in captured.err
 
     def test_workers_with_jobs_fails_cleanly(self, capsys):
-        code = main(self.ARGS + ["--workers", "2", "--jobs", "2"])
-        assert code != 0
+        # engine run has no --jobs option: argparse rejects it.
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.ARGS + ["--workers", "2", "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 class TestWorkersTelemetry:
@@ -503,25 +469,19 @@ class TestWorkersTelemetry:
         chunk_size=100,
     )
 
-    def _registry_for(self, **run_kwargs):
+    def _registry_for(self, workers):
         registry = enable(MetricsRegistry(origin="engine"))
         try:
-            if "workers" in run_kwargs:
-                run_engine(
-                    replace(self.CONFIG, workers=run_kwargs["workers"])
-                )
-            else:
-                run_engine(self.CONFIG, jobs=run_kwargs.get("jobs", 1))
+            run_engine(replace(self.CONFIG, workers=workers))
         finally:
             disable()
         return registry
 
     def test_counters_identical_across_scheduling_modes(self):
-        # Counters describe the logical run, never the physical schedule
-        # - the same invariant the jobs modes honour, extended to pools.
-        serial = self._registry_for(jobs=1).counters()
-        assert self._registry_for(workers=1).counters() == serial
+        # Counters describe the logical run, never the physical schedule.
+        serial = self._registry_for(workers=1).counters()
         assert self._registry_for(workers=2).counters() == serial
+        assert self._registry_for(workers=4).counters() == serial
 
     def test_pool_and_shard_telemetry_present(self):
         registry = self._registry_for(workers=2)

@@ -4,12 +4,19 @@ Covers the three new kernel capabilities - append-only component growth
 (``extend_components``), epoch rotation with slot compaction
 (``rotate_epoch``), and the re-timestamping invariant check - plus the
 EpochClock ledger semantics (FIFO expiry per pair, stable tokens across
-rotations, causality queries on live events).
+rotations, causality queries on live events), and the batch entry
+points at those lifecycle edges (growth and rotation between batches,
+stamp sharing at write-back, pickle round-trips mid-stream).
 """
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ClockComponents, ClockKernel, EpochClock, Timestamp, ordering
 from repro.core.timestamping import verify_retimestamping
@@ -82,6 +89,121 @@ class TestKernelRotation:
         assert retired == 0
         assert kernel.retired_total == 0
         assert kernel.epoch == 1
+
+
+THREAD_COMPS = [f"T{i}" for i in range(30)]
+OBJECT_COMPS = [f"O{i}" for i in range(20)]
+
+
+def wide_components():
+    return ClockComponents(THREAD_COMPS, OBJECT_COMPS)
+
+
+@st.composite
+def batched_pairs(draw, batches=4, batch_size=24):
+    """A list of insert batches over the wide component set."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**31)))
+    return [
+        [
+            (
+                f"T{rng.randrange(len(THREAD_COMPS))}",
+                f"O{rng.randrange(len(OBJECT_COMPS))}",
+            )
+            for _ in range(batch_size)
+        ]
+        for _ in range(draw(st.integers(min_value=2, max_value=batches)))
+    ]
+
+
+def drive_batches(kernel, batches):
+    """Timestamp every batch; returns the stamp values."""
+    out = []
+    for batch in batches:
+        out.extend(stamp.values for stamp in kernel.timestamp_batch(batch))
+    return out
+
+
+def drive_per_event(kernel, batches):
+    return [kernel.observe(t, o).values for batch in batches for t, o in batch]
+
+
+def assert_same_clocks(kernel, reference):
+    for thread in THREAD_COMPS:
+        assert (
+            kernel.thread_stamp(thread).values
+            == reference.thread_stamp(thread).values
+        ), thread
+    for obj in OBJECT_COMPS:
+        assert (
+            kernel.object_stamp(obj).values
+            == reference.object_stamp(obj).values
+        ), obj
+
+
+class TestBatchLifecycleEdges:
+    """The batch loops agree with per-event ``observe`` across lifecycle edges."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(batches=batched_pairs(), grow_at=st.integers(0, 3))
+    def test_extend_components_between_batches(self, batches, grow_at):
+        batched = ClockKernel(wide_components())
+        reference = ClockKernel(wide_components())
+        batched_values, reference_values = [], []
+        for index, batch in enumerate(batches):
+            if index == min(grow_at, len(batches) - 1):
+                for kernel in (batched, reference):
+                    kernel.extend_components(
+                        thread_components=("T90",), object_components=("O90",)
+                    )
+            batched_values.extend(drive_batches(batched, [batch]))
+            reference_values.extend(drive_per_event(reference, [batch]))
+        assert batched_values == reference_values
+        assert_same_clocks(batched, reference)
+
+    @settings(max_examples=25, deadline=None)
+    @given(batches=batched_pairs())
+    def test_rotate_epoch_between_batches(self, batches):
+        """Nothing of the old epoch's clocks leaks past a rotation."""
+        kernel = ClockKernel(wide_components())
+        drive_batches(kernel, batches[:1])
+        kernel.rotate_epoch(wide_components())
+        fresh = ClockKernel(wide_components())
+        assert drive_batches(kernel, batches) == drive_per_event(fresh, batches)
+        assert_same_clocks(kernel, fresh)
+
+    @settings(max_examples=25, deadline=None)
+    @given(batches=batched_pairs())
+    def test_pickle_round_trip_continues_identically(self, batches):
+        """A kernel resumed from its pickle stamps exactly like the original."""
+        kernel = ClockKernel(wide_components())
+        fold = kernel.advance_batch(batches[0])
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert clone.components.ordered == kernel.components.ordered
+        assert clone.advance_batch(batches[1], fold) == kernel.advance_batch(
+            batches[1], fold
+        )
+        assert drive_batches(clone, batches[2:]) == drive_batches(
+            kernel, batches[2:]
+        )
+        assert_same_clocks(clone, kernel)
+
+    def test_batch_write_back_shares_endpoint_stamps(self):
+        """Both endpoints of an entity's last event hold one stamp instance.
+
+        The per-event slot-delta fast path keys on that identity
+        (``object_stamp is thread_stamp``), so the batch write-back and
+        a pickle round-trip must both preserve it.
+        """
+        for batch in (ClockKernel.timestamp_batch, ClockKernel.advance_batch):
+            kernel = ClockKernel(wide_components())
+            batch(kernel, [("T0", "O0"), ("T1", "O1"), ("T0", "O1")])
+            assert kernel.thread_stamp("T0") is kernel.object_stamp("O1")
+            assert kernel.object_stamp("O0") is not kernel.thread_stamp("T0")
+            clone = pickle.loads(pickle.dumps(kernel))
+            assert clone.thread_stamp("T0") is clone.object_stamp("O1")
+            assert clone.thread_stamp("T0").values == (
+                kernel.thread_stamp("T0").values
+            )
 
 
 class TestVerifyRetimestamping:

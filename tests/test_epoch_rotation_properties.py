@@ -1,4 +1,4 @@
-"""Property tests for PR 10's incremental epoch-rotation paths.
+"""Property tests for the incremental epoch-rotation paths.
 
 Three families of randomized evidence back the delta-rotation and
 cover-repair fast paths:
@@ -25,23 +25,13 @@ from __future__ import annotations
 
 import pickle
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.kernel import (
-    default_backend_override,
-    numpy_available,
-    set_default_backend,
-)
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.incremental import DynamicMatching
 from repro.graph.matching import maximum_matching
 from repro.graph.vertex_cover import konig_vertex_cover, validate_vertex_cover
 from repro.online.adaptive import LifecycleClockDriver, WindowedPopularityMechanism
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend not installed"
-)
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -60,7 +50,7 @@ churn_streams = st.lists(
 windows = st.integers(min_value=2, max_value=8)
 
 
-def drive(pairs, window, rotation, backend=None, pickle_at=None):
+def drive(pairs, window, rotation, pickle_at=None):
     """Run one lifecycle driver over a sliding-window churn stream.
 
     Returns ``(event tokens, verdict trace)`` where the verdict trace
@@ -70,35 +60,28 @@ def drive(pairs, window, rotation, backend=None, pickle_at=None):
     many events, which is exactly what an engine checkpoint does to a
     kernel holding unmaterialised projection chains.
     """
-    saved = default_backend_override()
-    if backend is not None:
-        set_default_backend(backend)
-    try:
-        driver = LifecycleClockDriver(
-            WindowedPopularityMechanism(), rotation=rotation
-        )
-        live = []
-        tokens = []
-        verdicts = []
-        for step, pair in enumerate(pairs):
-            if pickle_at is not None and step == pickle_at:
-                driver = pickle.loads(pickle.dumps(driver))
-            tokens.append(driver.observe(*pair))
-            live.append(pair)
-            if len(live) > window:
-                driver.expire(*live.pop(0))
-            alive = driver.live_tokens()
-            verdicts.append(
-                tuple(
-                    driver.relation(a, b)
-                    for i, a in enumerate(alive)
-                    for b in alive[i + 1 :]
-                )
+    driver = LifecycleClockDriver(
+        WindowedPopularityMechanism(), rotation=rotation
+    )
+    live = []
+    tokens = []
+    verdicts = []
+    for step, pair in enumerate(pairs):
+        if pickle_at is not None and step == pickle_at:
+            driver = pickle.loads(pickle.dumps(driver))
+        tokens.append(driver.observe(*pair))
+        live.append(pair)
+        if len(live) > window:
+            driver.expire(*live.pop(0))
+        alive = driver.live_tokens()
+        verdicts.append(
+            tuple(
+                driver.relation(a, b)
+                for i, a in enumerate(alive)
+                for b in alive[i + 1 :]
             )
-        return tokens, verdicts
-    finally:
-        if backend is not None:
-            set_default_backend(saved)
+        )
+    return tokens, verdicts
 
 
 @SETTINGS
@@ -117,16 +100,6 @@ def test_delta_rotation_matches_replay_and_oracle(pairs, window):
         live.append(pair)
         if len(live) > window:
             oracle.expire(*live.pop(0))
-
-
-@requires_numpy
-@SETTINGS
-@given(churn_streams, windows)
-def test_delta_rotation_is_backend_invariant(pairs, window):
-    reference = drive(pairs, window, "replay", backend="python")
-    assert drive(pairs, window, "delta", backend="python") == reference
-    assert drive(pairs, window, "delta", backend="numpy") == reference
-    assert drive(pairs, window, "replay", backend="numpy") == reference
 
 
 @SETTINGS

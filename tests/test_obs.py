@@ -2,7 +2,7 @@
 
 The load-bearing property is the last test class: fingerprints must be
 *bit-identical* with and without an installed registry, across every
-pipeline/backend/jobs combination - telemetry is observed, never
+pipeline/worker-count combination - telemetry is observed, never
 observed-from.  Everything else (counter arithmetic, snapshot merging,
 the three export formats) supports that contract's operator surface.
 """
@@ -16,7 +16,6 @@ import pickle
 import pytest
 
 from repro.cli import main
-from repro.core.kernel import numpy_available
 from repro.engine import EngineConfig, run_engine
 from repro.obs import (
     HISTOGRAM_COMPRESSION,
@@ -60,9 +59,9 @@ class TestRegistry:
 
     def test_gauges_last_write_wins(self):
         registry = MetricsRegistry()
-        registry.gauge("engine.jobs", 2)
-        registry.gauge("engine.jobs", 4)
-        assert registry.gauge_value("engine.jobs") == 4.0
+        registry.gauge("engine.workers", 2)
+        registry.gauge("engine.workers", 4)
+        assert registry.gauge_value("engine.workers") == 4.0
         assert registry.gauge_value("missing", -1.0) == -1.0
 
     def test_histogram_percentiles(self):
@@ -239,14 +238,12 @@ class TestSnapshotMerge:
 # ---------------------------------------------------------------------------
 def populated_registry():
     registry = MetricsRegistry(origin="main")
-    registry.add("kernel.array_cache.hits", 30)
-    registry.add("kernel.array_cache.misses", 10)
-    registry.add("kernel.batch.array_events", 80)
-    registry.add("kernel.batch.python_events", 20)
-    registry.gauge("engine.jobs", 2)
+    registry.add("clock.rotation.delta", 3)
+    registry.add("clock.rotation.replay", 1)
+    registry.gauge("engine.workers", 2)
     for value in range(1, 11):
         registry.observe("engine.chunk_s", value / 10.0)
-    with registry.span("engine.map", jobs=2):
+    with registry.span("engine.map", workers=2):
         pass
     worker = MetricsRegistry(origin="shard-0")
     with worker.span("engine.chunk", shard=0):
@@ -259,9 +256,8 @@ class TestExporters:
     def test_metrics_document_shape_and_derived(self):
         document = metrics_document(populated_registry())
         assert document["schema"] == METRICS_SCHEMA_VERSION
-        assert document["counters"]["kernel.array_cache.hits"] == 30
-        assert document["derived"]["kernel_cache_hit_rate"] == pytest.approx(0.75)
-        assert document["derived"]["kernel_array_path_share"] == pytest.approx(0.8)
+        assert document["counters"]["clock.rotation.delta"] == 3
+        assert document["derived"] == {"rotation_delta_share": pytest.approx(0.75)}
         row = document["histograms"]["engine.chunk_s"]
         assert row["count"] == 10
         assert row["min"] == pytest.approx(0.1)
@@ -271,8 +267,7 @@ class TestExporters:
 
     def test_derived_ratios_null_when_unobserved(self):
         document = metrics_document(MetricsRegistry())
-        assert document["derived"]["kernel_cache_hit_rate"] is None
-        assert document["derived"]["kernel_array_path_share"] is None
+        assert document["derived"] == {"rotation_delta_share": None}
 
     def test_metrics_json_round_trip(self, tmp_path):
         registry = populated_registry()
@@ -335,19 +330,16 @@ BASE_CONFIG = EngineConfig(
     timestamps=True,
 )
 
-BACKENDS = ("python",) + (("numpy",) if numpy_available() else ())
-
 
 class TestFingerprintIdentity:
     @pytest.mark.parametrize("pipeline", ["per-event", "batched"])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_metrics_on_off_identical(self, pipeline, backend, jobs):
-        config = dataclasses.replace(BASE_CONFIG, pipeline=pipeline, backend=backend)
-        baseline = run_engine(config, jobs=jobs)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_metrics_on_off_identical(self, pipeline, workers):
+        config = dataclasses.replace(BASE_CONFIG, pipeline=pipeline, workers=workers)
+        baseline = run_engine(config)
         registry = enable(MetricsRegistry(origin="engine"))
         try:
-            instrumented = run_engine(config, jobs=jobs)
+            instrumented = run_engine(config)
         finally:
             disable()
         assert instrumented.fingerprint() == baseline.fingerprint()
@@ -355,23 +347,10 @@ class TestFingerprintIdentity:
         # The run must actually have been observed, not silently skipped.
         assert registry.counter_value("engine.chunks") > 0
 
-    def test_telemetry_is_jobs_independent(self):
-        # Counters describe the logical run, not the physical schedule:
-        # serial and parallel executions observe identical counts.
-        def counters_for(jobs):
-            registry = enable(MetricsRegistry(origin="engine"))
-            try:
-                run_engine(BASE_CONFIG, jobs=jobs)
-            finally:
-                disable()
-            return registry.counters()
-
-        assert counters_for(1) == counters_for(2)
-
     def test_per_shard_event_counters_cover_the_stream(self):
         registry = enable(MetricsRegistry(origin="engine"))
         try:
-            result = run_engine(BASE_CONFIG, jobs=1)
+            result = run_engine(BASE_CONFIG)
         finally:
             disable()
         shard_events = sum(
@@ -416,13 +395,31 @@ class TestCliExports:
             == 0
         )
         document = json.loads(metrics.read_text())
-        assert "kernel_cache_hit_rate" in document["derived"]
+        assert "rotation_delta_share" in document["derived"]
         assert document["counters"]["engine.chunks"] > 0
         assert any(
             name.startswith("sharder.shard[") for name in document["counters"]
         )
         assert json.loads(trace.read_text())["traceEvents"]
         assert log.read_text().splitlines()
+
+    def test_default_engine_run_makes_one_stream_pass(self, tmp_path):
+        # Without --workers the eight shards run as one group: the stream
+        # is generated once, not once per shard.
+        metrics = tmp_path / "metrics.json"
+        assert (
+            main(
+                [
+                    "engine", "run", "--scenario", "thread-churn",
+                    "--events", "300", "--shards", "8",
+                    "--metrics", str(metrics),
+                ]
+            )
+            == 0
+        )
+        document = json.loads(metrics.read_text())
+        assert document["histograms"]["engine.stream_gen_s"]["count"] == 1
+        assert document["gauges"]["engine.workers"] == 1
 
     def test_sweep_ratio_metrics_export(self, tmp_path):
         metrics = tmp_path / "sweep_metrics.json"
