@@ -347,6 +347,20 @@ class TestFingerprintIdentity:
         # The run must actually have been observed, not silently skipped.
         assert registry.counter_value("engine.chunks") > 0
 
+    def test_telemetry_is_jobs_independent(self):
+        # Counters describe the logical run, not the physical schedule:
+        # serial and parallel executions (the worker count is the one
+        # scheduling knob) observe identical counts.
+        def counters_for(workers):
+            registry = enable(MetricsRegistry(origin="engine"))
+            try:
+                run_engine(dataclasses.replace(BASE_CONFIG, workers=workers))
+            finally:
+                disable()
+            return registry.counters()
+
+        assert counters_for(1) == counters_for(2)
+
     def test_per_shard_event_counters_cover_the_stream(self):
         registry = enable(MetricsRegistry(origin="engine"))
         try:
