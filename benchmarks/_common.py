@@ -150,13 +150,13 @@ else:
     ENGINE_WORKERS = [1, 2, 4, 8]
     #: Threads/objects per side of the engine-scaling stream.
     ENGINE_NODES = 200
-    #: Insert events in the batched-pipeline head-to-head (the ROADMAP's
+    #: Insert events in the batched-pipeline throughput run (the ROADMAP's
     #: 1M+ target; expires ride on top, roughly doubling the stream).
     PIPELINE_EVENTS = 1_200_000
     #: Threads/objects per side of the pipeline stream (sets the clock
     #: dimension the timestamping stage pays per event).
     PIPELINE_NODES = 200
-    #: Inserts per chunk in the pipeline head-to-head.
+    #: Inserts per chunk in the pipeline throughput run.
     PIPELINE_CHUNK = 100_000
     #: Events of each run in the fingerprint equality matrix.
     PIPELINE_MATRIX_EVENTS = 4_000

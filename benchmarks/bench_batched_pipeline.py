@@ -1,29 +1,22 @@
-"""Extra experiment E10: chunked hot-path pipeline vs per-event dispatch.
+"""Extra experiment E10: the engine's run-batched hot loop on one shard.
 
-The ROADMAP's two hot-loop items ("push the fast kernel further",
-"scale the hot loop further") meet here: one thread-churn monitoring
-configuration - mechanisms growing their clocks *and* a timestamping
-stage actually minting a stamp per event per mechanism - is executed
-two ways over the same stream:
-
-* ``per-event`` - the classic loop: one Python call per event per layer;
-* ``batched`` - runs of consecutive inserts flow through
-  ``observe_batch`` / ``advance_batch`` with the slot-delta kernel loop.
+One thread-churn monitoring configuration - mechanisms growing their
+clocks *and* a timestamping stage actually minting a stamp per event per
+mechanism - runs through the engine's one event loop, where runs of
+consecutive inserts flow through ``observe_batch`` / ``advance_batch``
+with the slot-delta kernel loop.  The published number is its event
+rate on this merge-heavy stream (random thread/object pairing defeats
+the slot-delta fast paths, so an O(k) element-wise max per event
+remains).  End-to-end throughput is gated by ``perfbench/``, not here.
 
 Assertions, in CI via ``--smoke``:
 
-* both variants produce the *identical* fingerprint - including the
-  per-label stamp digests, so the two pipelines provably mint the same
-  timestamps;
-* the chunked pipeline is never slower than per-event dispatch.  On this
-  merge-heavy stream (random thread/object pairing defeats the
-  slot-delta fast paths, so an O(k) element-wise max per event remains)
-  that is the whole claim: the chunked loop removes dispatch overhead,
-  not the merge itself.
+* every mechanism label carries a stamp digest, so the timestamping
+  stage really ran;
+* a telemetry-instrumented rerun produces the identical fingerprint.
 
-A second test crosses ``{per-event, batched} x --workers {1, N}`` on a
-small engine run (offline optimum included) and asserts one fingerprint
-for all combinations.
+A second test runs a small engine configuration (offline optimum
+included) at ``--workers {1, N}`` and asserts one fingerprint for both.
 """
 
 from __future__ import annotations
@@ -65,8 +58,6 @@ BASE = dict(
     timestamps=True,
 )
 
-PIPELINES = ("per-event", "batched")
-
 
 def _single_shard_result(config: EngineConfig):
     """Run the one-shard config and wrap the partial for fingerprinting."""
@@ -84,23 +75,16 @@ def _single_shard_result(config: EngineConfig):
 
 
 @pytest.mark.benchmark(group="batched-pipeline")
-def test_batched_pipeline_speedup(benchmark, record_table, record_json):
-    def run_all():
-        runs = []
-        for pipeline in PIPELINES:
-            config = EngineConfig(pipeline=pipeline, **BASE)
-            start = time.perf_counter()
-            result = _single_shard_result(config)
-            runs.append((pipeline, time.perf_counter() - start, result))
-        return runs
+def test_batched_pipeline_throughput(benchmark, record_table, record_json):
+    config = EngineConfig(**BASE)
 
-    runs = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    def run_once():
+        start = time.perf_counter()
+        result = _single_shard_result(config)
+        return time.perf_counter() - start, result
 
-    fingerprints = {result.fingerprint() for _, _, result in runs}
-    assert len(fingerprints) == 1, (
-        "the pipeline changed the merged metrics or stamp digests"
-    )
-    reference = runs[0][2]
+    elapsed, reference = benchmark.pedantic(run_once, rounds=1, iterations=1)
+
     assert reference.inserts == PIPELINE_EVENTS
     for label in MECHANISMS:
         for (_, lbl), fragment in reference.partial.series.items():
@@ -108,48 +92,32 @@ def test_batched_pipeline_speedup(benchmark, record_table, record_json):
                 assert fragment.stamp_digest, "timestamping stage did not run"
 
     total_events = reference.inserts + reference.expires
-    rates = {pipeline: total_events / elapsed for pipeline, elapsed, _ in runs}
-    per_event_rate = rates["per-event"]
-    chunked_rate = rates["batched"]
-
-    # The chunked pipeline must at least match per-event dispatch (0.95
-    # allows scheduler noise on shared CI cores; measured ~1.4x with the
-    # run-chunked sharder).
-    assert chunked_rate >= per_event_rate * 0.95, (
-        f"chunked pipeline slower than per-event: "
-        f"{chunked_rate:,.0f} vs {per_event_rate:,.0f} events/s"
+    rate = total_events / elapsed
+    record_table(
+        "batched_pipeline",
+        "\n".join(
+            [
+                f"scenario: thread-churn  inserts: {PIPELINE_EVENTS:,}  "
+                f"nodes: {PIPELINE_NODES}+{PIPELINE_NODES}  "
+                f"mechanisms: {','.join(MECHANISMS)}  timestamps: on",
+                f"fingerprint: {reference.fingerprint()[:16]}...",
+                "",
+                f"{'seconds':>8}  {'events/s':>10}",
+                f"{elapsed:>8.2f}  {rate:>10,.0f}",
+            ]
+        ),
     )
 
-    lines = [
-        f"scenario: thread-churn  inserts: {PIPELINE_EVENTS:,}  "
-        f"nodes: {PIPELINE_NODES}+{PIPELINE_NODES}  "
-        f"mechanisms: {','.join(MECHANISMS)}  timestamps: on",
-        f"fingerprint (identical for every variant): "
-        f"{reference.fingerprint()[:16]}...",
-        "",
-        f"{'pipeline':>10}  {'seconds':>8}  {'events/s':>10}  {'speedup':>7}",
-    ]
-    for pipeline, elapsed, _ in runs:
-        rate = rates[pipeline]
-        lines.append(
-            f"{pipeline:>10}  {elapsed:>8.2f}  "
-            f"{rate:>10,.0f}  {rate / per_event_rate:>6.2f}x"
-        )
-    record_table("batched_pipeline", "\n".join(lines))
-
-    # Untimed third pass: the chunked variant again, this time with the
-    # telemetry registry installed.  The timed legs above stay
-    # telemetry-free (the published rates are the product); this pass
-    # proves at benchmark scale that instrumentation does not move the
-    # fingerprint, and harvests the engine counters (batch-size
-    # distribution, spans) into the schema-v3 envelope's ``metrics``
-    # block.
+    # Untimed second pass with the telemetry registry installed.  The
+    # timed leg above stays telemetry-free (the published rate is the
+    # product); this pass proves at benchmark scale that instrumentation
+    # does not move the fingerprint, and harvests the engine counters
+    # (batch-size distribution, spans) into the schema-v3 envelope's
+    # ``metrics`` block.
     registry = MetricsRegistry(origin="bench")
     previous = install(registry)
     try:
-        instrumented = _single_shard_result(
-            EngineConfig(pipeline="batched", **BASE)
-        )
+        instrumented = _single_shard_result(config)
     finally:
         install(previous)
     assert instrumented.fingerprint() == reference.fingerprint(), (
@@ -164,11 +132,7 @@ def test_batched_pipeline_speedup(benchmark, record_table, record_json):
             "total_events": total_events,
             "nodes": PIPELINE_NODES,
             "mechanisms": list(MECHANISMS),
-            "events_per_second": dict(rates),
-            "speedup_vs_per_event": {
-                pipeline: rate / per_event_rate for pipeline, rate in rates.items()
-            },
-            "chunked_speedup": chunked_rate / per_event_rate,
+            "events_per_second": rate,
             "fingerprint": reference.fingerprint(),
         },
         metrics=metrics_document(registry),
@@ -177,34 +141,32 @@ def test_batched_pipeline_speedup(benchmark, record_table, record_json):
 
 @pytest.mark.benchmark(group="batched-pipeline")
 def test_pipeline_fingerprint_matrix(record_json):
-    """{per-event, batched} x --workers: one fingerprint."""
+    """--workers {1, N}: one fingerprint."""
     matrix = {}
-    for pipeline in PIPELINES:
-        for workers in PIPELINE_MATRIX_WORKERS:
-            config = EngineConfig(
-                scenario="thread-churn",
-                num_threads=40,
-                num_objects=40,
-                density=0.15,
-                num_events=PIPELINE_MATRIX_EVENTS,
-                seed=10_501,
-                num_shards=4,
-                chunk_size=max(1, PIPELINE_MATRIX_EVENTS // 8),
-                mechanisms=("naive", "popularity"),
-                include_offline=True,
-                timestamps=True,
-                pipeline=pipeline,
-                workers=workers,
-            )
-            matrix[(pipeline, workers)] = run_engine(config).fingerprint()
+    for workers in PIPELINE_MATRIX_WORKERS:
+        config = EngineConfig(
+            scenario="thread-churn",
+            num_threads=40,
+            num_objects=40,
+            density=0.15,
+            num_events=PIPELINE_MATRIX_EVENTS,
+            seed=10_501,
+            num_shards=4,
+            chunk_size=max(1, PIPELINE_MATRIX_EVENTS // 8),
+            mechanisms=("naive", "popularity"),
+            include_offline=True,
+            timestamps=True,
+            workers=workers,
+        )
+        matrix[workers] = run_engine(config).fingerprint()
     assert len(set(matrix.values())) == 1, matrix
     record_json(
         "pipeline_fingerprint_matrix",
         {
             "events": PIPELINE_MATRIX_EVENTS,
             "combinations": [
-                {"pipeline": p, "workers": w, "fingerprint": fp}
-                for (p, w), fp in sorted(matrix.items())
+                {"workers": w, "fingerprint": fp}
+                for w, fp in sorted(matrix.items())
             ],
             "identical": True,
         },

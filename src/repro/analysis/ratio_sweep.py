@@ -124,7 +124,6 @@ class _TrialTask:
     num_events: int
     base_seed: int
     epoch: Optional[int] = None
-    batch_size: Optional[int] = None
 
 
 #: Per-label outcome of one trial: burn-in ratios, steady ratios, steady
@@ -167,7 +166,6 @@ def _trial_samples(
         include_offline=True,
         window=None if scenario.expires else task.window,
         epoch=task.epoch,
-        batch_size=task.batch_size,
     )
     offline_sizes = results[OFFLINE_LABEL].size_trajectory
     samples: _TrialSamples = {}
@@ -206,7 +204,6 @@ def ratio_sweep(
     jobs: int = 1,
     epoch: Optional[int] = None,
     labels: Optional[Sequence[str]] = None,
-    batch_size: Optional[int] = None,
 ) -> RatioSweepResult:
     """Sweep burn-in / steady-state competitive ratios over a stream grid.
 
@@ -248,10 +245,6 @@ def ratio_sweep(
         Deliver an epoch tick to every mechanism after this many inserts
         (on top of any markers the stream emits).  ``None`` leaves only
         the stream's own markers.
-    batch_size:
-        Consume each trial's stream through the chunked pipeline
-        (``observe_batch`` on runs of up to this many inserts) instead of
-        per-event calls.  Bit-identical results; wall-clock only.
     """
     if mechanisms is not None and labels is not None:
         raise ExperimentError("pass either mechanisms or labels, not both")
@@ -275,8 +268,6 @@ def ratio_sweep(
         raise ExperimentError("burn_in and tail must be >= 1")
     if epoch is not None and epoch < 1:
         raise ExperimentError("epoch must be >= 1")
-    if batch_size is not None and batch_size < 1:
-        raise ExperimentError("batch_size must be >= 1")
     if not densities or not sizes:
         raise ExperimentError("densities and sizes must not be empty")
     if jobs > 1 and mechanisms is not None:
@@ -323,7 +314,6 @@ def ratio_sweep(
             num_events=events_per_trial,
             base_seed=base_seed,
             epoch=epoch,
-            batch_size=batch_size,
         )
         for scenario, density, size in grid
         for trial in range(trials)

@@ -53,7 +53,6 @@ from repro.computation import GRAPH, HappenedBefore, REGISTRY, STREAM, TRACE
 from repro.computation.serialization import dump_computation, load_computation
 from repro.computation.workloads import paper_example_trace
 from repro.engine import EngineConfig, run_engine
-from repro.engine.runner import PIPELINES as ENGINE_PIPELINES
 from repro.engine.sharding import STRATEGIES as ENGINE_STRATEGIES
 from repro.exceptions import ReproError
 from repro.lint.cli import add_lint_arguments, cmd_lint
@@ -166,12 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         "paper's three",
     )
     sweep.add_argument(
-        "--batch", type=int, default=None, dest="batch_size", metavar="N",
-        help="consume each ratio-sweep trial through the chunked pipeline "
-        "(observe_batch on runs of up to N inserts); results are identical "
-        "to the per-event default",
-    )
-    sweep.add_argument(
         "--metrics", default=None, metavar="PATH",
         help="write the ratio sweep's telemetry (spans, counters) as a "
         "metrics JSON document; telemetry never changes a sweep number",
@@ -257,12 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     engine_run.add_argument(
         "--no-offline", action="store_true", dest="no_offline",
         help="skip the dynamic offline optimum (mechanisms only)",
-    )
-    engine_run.add_argument(
-        "--pipeline", choices=list(ENGINE_PIPELINES), default="batched",
-        help="event execution pipeline: chunked observe_batch runs "
-        "(default) or the classic per-event loop; the fingerprint is "
-        "identical for both",
     )
     engine_run.add_argument(
         "--timestamps", action="store_true",
@@ -410,7 +397,6 @@ def _cmd_engine(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         checkpoint_dir=args.checkpoint_dir,
         trajectory_stride=args.stride,
-        pipeline=args.pipeline,
         timestamps=args.timestamps,
         workers=args.workers,
     )
@@ -568,7 +554,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     jobs=args.jobs,
                     epoch=args.epoch,
                     labels=labels,
-                    batch_size=args.batch_size,
                 )
         finally:
             obs_install(previous)

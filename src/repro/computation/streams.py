@@ -171,38 +171,6 @@ def with_epochs(events: Iterable[EventLike], every: int) -> Iterator[StreamEvent
                 yield epoch_marker()
 
 
-def iter_event_batches(
-    events: Iterable[EventLike], max_batch: int = 1024
-) -> Iterator[Union[List[StreamEvent], StreamEvent]]:
-    """Partition a stream into insert runs and individual lifecycle events.
-
-    Yields, in stream order, either a non-empty ``list`` of consecutive
-    insert events (at most ``max_batch`` long) or a bare expire / epoch
-    :class:`StreamEvent`.  This is the chunking rule of the batched
-    execution pipeline: inserts between two lifecycle ticks form one
-    batch handed to ``observe_batch``, while the ticks themselves are
-    delivered individually, so window-aware consumers see exactly the
-    interleaving the per-event loop would have produced.
-    """
-    if max_batch < 1:
-        raise ComputationError(f"max_batch must be >= 1, got {max_batch}")
-    run: List[StreamEvent] = []
-    for item in events:
-        event = as_stream_event(item)
-        if event.kind == INSERT:
-            run.append(event)
-            if len(run) == max_batch:
-                yield run
-                run = []
-        else:
-            if run:
-                yield run
-                run = []
-            yield event
-    if run:
-        yield run
-
-
 def _candidate_objects(
     rng, objects: List[str], density: float
 ) -> Tuple[str, ...]:

@@ -80,7 +80,7 @@ def fold_stamp_values(fold: int, thread_value: int, object_value: int) -> int:
     for every stamped event it absorbs the post-increment values of the
     event's thread and object slots (0 for an absent side).  Any
     divergence in the clock state propagates into some later event's
-    incremented slots, so pipelines and worker layouts that
+    incremented slots, so any two runs (worker layouts, batch cuts) that
     disagree on any stamp disagree on the digest.  Pure ints, cheap, and
     picklable - the property that lets the sharded engine carry it
     through checkpoints.
@@ -550,12 +550,12 @@ class ClockKernel:
     def fold_event(
         self, fold: int, stamp: Timestamp, thread: Vertex, obj: Vertex
     ) -> int:
-        """Fold one per-event stamp into the digest (per-event pipeline).
+        """Fold one minted stamp into the digest.
 
-        The counterpart of :meth:`advance_batch`'s internal fold: both
-        absorb the post-increment thread/object slot values, so the
-        per-event and batched pipelines produce the same digest for the
-        same stream.
+        The per-event counterpart of :meth:`advance_batch`'s internal
+        fold: both absorb the post-increment thread/object slot values,
+        so ``observe`` + ``fold_event`` and ``advance_batch`` produce the
+        same digest for the same stream.
         """
         thread_slot = self._thread_slot.get(thread)
         object_slot = self._object_slot.get(obj)

@@ -16,8 +16,7 @@ surface; :func:`~repro.engine.runner.run_engine` is the library one.
 
 The load-bearing guarantee, asserted by the test suite: a run's merged
 result is a pure function of its :class:`~repro.engine.runner.EngineConfig`
-- bit-identical across ``workers`` counts, pipelines and
-interrupt/resume cycles.
+- bit-identical across ``workers`` counts and interrupt/resume cycles.
 """
 
 from repro.engine.checkpoint import EngineCheckpointManager, ShardCheckpoint

@@ -210,7 +210,7 @@ class EngineResult:
 
     The identity of a run's numbers is exactly ``(scenario parameters,
     root seed, shard structure, chunk size, window, mechanisms)`` - and
-    deliberately *not* the worker count or pipeline, which is the
+    deliberately *not* the worker count, which is the
     engine's central determinism guarantee.  :meth:`fingerprint` distils
     the merged metrics into one hex digest so that guarantee is cheap to
     assert from tests and visible from the CLI.

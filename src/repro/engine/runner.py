@@ -40,10 +40,14 @@ the same pass.
 
 Determinism contract (the one the acceptance tests assert): for a fixed
 ``EngineConfig``, the merged :class:`~repro.engine.results.EngineResult`
-is bit-identical across ``workers`` values, pipelines and
-interrupt/resume cycles - checkpoints written under one worker count
-resume under any other - and equal to the absolute fingerprints pinned
-in ``tests/test_golden_fingerprints.py``.  Every source of variation is
+is bit-identical across ``workers`` values and interrupt/resume cycles
+- checkpoints written under one worker count resume under any other -
+and equal to the absolute fingerprints pinned in
+``tests/test_golden_fingerprints.py``.  Each shard's consumers see
+exactly the per-event interleaving of
+:func:`~repro.online.simulator.compare_mechanisms_on_stream` over the
+shard's sub-stream, the one-event-at-a-time oracle the tests check
+every shard against.  Every source of variation is
 keyed by :func:`repro.seeds.derive_seed` paths (stream, per-shard
 per-mechanism seeds), and every float accumulation follows one fixed
 merge tree (chunks in order within a shard, shards in id order at the
@@ -81,12 +85,6 @@ from repro.online.base import THREAD, OnlineMechanism
 from repro.online.simulator import seed_mechanism_factories
 from repro.seeds import derive_seed
 
-#: Execution pipelines: how events flow through the consumers.  Never part
-#: of a run's identity - the merged result is bit-identical across them.
-BATCHED = "batched"
-PER_EVENT = "per-event"
-PIPELINES = (BATCHED, PER_EVENT)
-
 #: Upper bound on one insert run handed to ``observe_batch`` /
 #: ``advance_batch`` (bounds working memory; flushing early never changes
 #: results, so this is not part of a run's identity either).
@@ -100,7 +98,6 @@ MAX_BATCH_EVENTS = 4096
 NON_SIGNATURE_FIELDS = (
     "checkpoint_dir",        # where state lives, not what is computed
     "max_chunks_per_shard",  # an interrupted run and its resumption are the same run
-    "pipeline",              # bit-identical across pipelines by contract
     "trajectory_stride",     # identity enters via the resolved "stride" key
     "workers",               # physical shard-group scheduling only: the merged
                              # result is bit-identical across worker counts, so
@@ -124,8 +121,8 @@ class EngineConfig:
     """One sharded run, fully specified.
 
     Everything that shapes the numbers lives in the signature; the
-    fields that only shape the wall-clock (``pipeline``, ``workers``)
-    deliberately do not.
+    field that only shapes the wall-clock (``workers``) deliberately
+    does not.
     ``trajectory_stride=0`` means auto: sample roughly a thousand points
     over the whole run so million-event trajectories stay plottable
     without carrying millions of samples per label.  ``epoch_every``
@@ -135,23 +132,15 @@ class EngineConfig:
     restructure their clocks at boundaries - so it lives in the
     signature, unlike ``--workers``.
 
-    Two fields shape the hot path without (``pipeline``) or with
-    (``timestamps``) shaping the numbers:
-
-    * ``pipeline`` - ``"batched"`` (default) consumes each shard's
-      inserts in runs cut at lifecycle ticks and chunk/epoch boundaries,
-      feeding ``observe_batch`` / ``advance_batch``; ``"per-event"`` is
-      the classic one-call-per-event loop.  Bit-identical results; the
-      fingerprint proves it.
-    * ``timestamps`` - when ``True``, every shard actually *mints* a
-      timestamp per insert per mechanism label (the monitoring system's
-      real output, driven through a per-label :class:`ClockKernel` that
-      follows the mechanism's component additions) and folds the stamps
-      into a per-label digest carried under the fingerprint.  Part of
-      the signature: it adds digest lines to the canonical result.
-      Restricted to append-only mechanisms - retirement would require a
-      per-shard rotation/replay story, which stays with
-      :class:`~repro.online.adaptive.LifecycleClockDriver`.
+    ``timestamps`` - when ``True``, every shard actually *mints* a
+    timestamp per insert per mechanism label (the monitoring system's
+    real output, driven through a per-label :class:`ClockKernel` that
+    follows the mechanism's component additions) and folds the stamps
+    into a per-label digest carried under the fingerprint.  Part of the
+    signature: it adds digest lines to the canonical result.  Restricted
+    to append-only mechanisms - retirement would require a per-shard
+    rotation/replay story, which stays with
+    :class:`~repro.online.adaptive.LifecycleClockDriver`.
 
     ``workers`` deals the shards into that many contiguous groups
     (:func:`plan_shard_groups`) and runs each group as one task that
@@ -177,7 +166,6 @@ class EngineConfig:
     checkpoint_dir: Optional[str] = None
     trajectory_stride: int = 0
     max_chunks_per_shard: Optional[int] = None
-    pipeline: str = BATCHED
     timestamps: bool = False
     workers: int = 1
 
@@ -229,11 +217,6 @@ class EngineConfig:
             raise EngineError("trajectory_stride must be >= 0")
         if self.max_chunks_per_shard is not None and self.max_chunks_per_shard < 1:
             raise EngineError("max_chunks_per_shard must be >= 1")
-        if self.pipeline not in PIPELINES:
-            raise EngineError(
-                f"unknown pipeline {self.pipeline!r} "
-                f"(expected one of: {', '.join(PIPELINES)})"
-            )
         if self.timestamps:
             for label in self.mechanisms:
                 if EXTENDED_MECHANISMS[label](0).window_aware:
@@ -259,13 +242,13 @@ class EngineConfig:
         Two configurations with equal signatures produce bit-identical
         merged metrics, so this is what the checkpoint manifest records.
         ``max_chunks_per_shard`` is excluded on purpose: an interrupted
-        run and its resumption are the *same* run - and so are
-        ``pipeline`` and ``workers``, which by contract
-        never change a number (a run checkpointed under one may resume
-        under another).  ``timestamps`` *is* identity - it adds digest
-        series - but the key is recorded only when set, so checkpoint
-        directories written before the timestamping stage existed (whose
-        semantics are unchanged) stay resumable.
+        run and its resumption are the *same* run - and so is
+        ``workers``, which by contract never changes a number (a run
+        checkpointed under one count may resume under another).
+        ``timestamps`` *is* identity - it adds digest series - but the
+        key is recorded only when set, so checkpoint directories written
+        before the timestamping stage existed (whose semantics are
+        unchanged) stay resumable.
         """
         signature = {
             "scenario": self.scenario,
@@ -486,11 +469,8 @@ class _ShardRun:
             config.mechanisms, self.inserts_done, config.stride,
             config.include_offline,
         )
-        # Own-shard load telemetry on the per-event path (split_runs_group
-        # counts it sharder-side on the batched path).
-        self.shard_events = 0
-        # The timestamping stage's own, longer accumulation (batched
-        # pipeline): the per-label kernels consume *inserts only*
+        # The timestamping stage's own, longer accumulation: the
+        # per-label kernels consume *inserts only*
         # (append-only clocks ignore expiry), so their runs are cut by
         # chunk boundaries and the memory cap - not by the lifecycle
         # ticks that cut mechanism runs.  This is what amortises the
@@ -582,65 +562,15 @@ class _ShardRun:
             self.engine.remove_edge(thread, obj)
         chunk.expires += 1
 
-    # -- per-event pipeline ---------------------------------------------
-    def observe_insert(self, thread, obj) -> None:
-        """One insert through every consumer (the classic per-event body)."""
-        config = self.config
-        chunk = self.chunk
-        if self.live_window is not None:
-            if config.window is not None and len(self.live_window) == config.window:
-                old_thread, old_obj = self.live_window.popleft()
-                self.deliver_expire(old_thread, old_obj)
-            self.live_window.append((thread, obj))
-        offline_size = 0
-        if self.engine is not None:
-            self.engine.add_edge(thread, obj)
-            offline_size = self.engine.size
-        sample_point = self.inserts_done % config.stride == 0
-        clocks = self.clocks
-        stamp_folds = self.stamp_folds
-        for label, mechanism in self.mechanisms.items():
-            if clocks is None:
-                mechanism.observe(thread, obj)
-            else:
-                decisions_before = mechanism.decision_count
-                mechanism.observe(thread, obj)
-                kernel = clocks[label]
-                if mechanism.decision_count != decisions_before:
-                    _extend_clock(
-                        kernel,
-                        mechanism.decisions_since(decisions_before)[0],
-                    )
-                stamp = kernel.observe(thread, obj)
-                stamp_folds[label] = kernel.fold_event(
-                    stamp_folds[label], stamp, thread, obj
-                )
-            size = mechanism.clock_size
-            chunk.final[label] = size
-            chunk.retired[label] = mechanism.retired_total
-            if sample_point:
-                chunk.samples[label].append(size)
-            if offline_size:
-                chunk.ratios[label].update(size / offline_size)
-                chunk.sketches[label].update(size / offline_size)
-        if self.engine is not None:
-            chunk.final[OFFLINE_LABEL] = offline_size
-            if sample_point:
-                chunk.samples[OFFLINE_LABEL].append(offline_size)
-        self.inserts_done += 1
-        chunk.inserts += 1
-        if (
-            config.epoch_every is not None
-            and self.inserts_done % config.epoch_every == 0
-        ):
-            self.deliver_epoch()
-        if chunk.inserts == config.chunk_size:
-            self.complete_chunk()
-            self.interrupt_if_due()
-
-    # -- batched pipeline -----------------------------------------------
+    # -- insert runs ----------------------------------------------------
     def run_cap(self) -> int:
-        """Largest run that cannot overshoot a chunk/epoch boundary."""
+        """Largest run that cannot overshoot a chunk/epoch/window boundary.
+
+        Under an imposed window the run also stops where the window
+        fills, and once it is full every run is a single insert, so
+        :meth:`flush_inserts` can deliver the one expire an insert
+        pushes out before the insert itself - the per-event order.
+        """
         config = self.config
         cap = config.chunk_size - self.chunk.inserts
         if config.epoch_every is not None:
@@ -648,6 +578,8 @@ class _ShardRun:
                 cap,
                 config.epoch_every - self.inserts_done % config.epoch_every,
             )
+        if self.live_window is not None:
+            cap = min(cap, max(1, config.window - len(self.live_window)))
         return min(cap, MAX_BATCH_EVENTS)
 
     def flush_stamps(self) -> None:
@@ -655,8 +587,8 @@ class _ShardRun:
 
         Sub-runs are cut exactly where the mechanism's decision log
         says a component was added, each addition extending the
-        kernel *before* its triggering event is stamped - the same
-        order the per-event loop produces, hence the same digest.
+        kernel *before* its triggering event is stamped - the order a
+        one-event-at-a-time ``observe`` stamps them in.
         """
         kernel_pending = self.kernel_pending
         if not kernel_pending:
@@ -689,7 +621,16 @@ class _ShardRun:
         kernel_pending.clear()
 
     def flush_inserts(self, run: List[Tuple[object, object]]) -> None:
-        """One whole insert run through every consumer (the batched body)."""
+        """One whole insert run through every consumer.
+
+        An imposed window first expires its oldest edge when full
+        (:meth:`run_cap` has cut the run to one insert by then).
+        """
+        live_window = self.live_window
+        if live_window is not None:
+            if len(live_window) == self.config.window:
+                self.deliver_expire(*live_window.popleft())
+            live_window.extend(run)
         chunk = self.chunk
         count = len(run)
         reg = self.reg
@@ -743,10 +684,6 @@ class _ShardRun:
             self.complete_chunk()
         reg = self.reg
         if reg is not None:
-            if self.shard_events:
-                reg.add(
-                    f"sharder.shard[{self.shard_id}].events", self.shard_events
-                )
             shard_id = self.shard_id
             reg.gauge(f"engine.shard[{shard_id}].inserts", self.partial.inserts)
             reg.gauge(f"engine.shard[{shard_id}].expires", self.partial.expires)
@@ -818,93 +755,45 @@ def run_shard_group(
         stream = _timed_stream(stream, reg)
     sharder = StreamSharder(config.num_shards, config.strategy)
 
-    if config.pipeline == PER_EVENT or any(
-        run.live_window is not None for run in runs.values()
+    # Runs of consecutive inserts, cut at lifecycle ticks and chunk /
+    # epoch / window boundaries, flow through observe_batch (mechanisms)
+    # and advance_batch (kernels) so the per-event Python dispatch is
+    # paid once per run, not per event.  The runs arrive whole - and
+    # already routed to their owning shard - from
+    # StreamSharder.split_runs_group, so this driver resumes once per
+    # run / boundary event instead of once per tagged event.
+    caps = {shard_id: runs[shard_id].run_cap for shard_id in owned}
+    skips = {shard_id: runs[shard_id].raw_consumed for shard_id in owned}
+    # Boundary checks run after *every* flushed run, but only a cap-sized
+    # run can actually land on a chunk/epoch boundary: the sharder
+    # re-evaluates run_cap() at each run's first insert, so a run cut
+    # short by a lifecycle event (or end of stream) always stops
+    # strictly before one.
+    for shard, consumed, item in sharder.split_runs_group(
+        stream, owned, caps, skips
     ):
-        # ------------------------------------------------------------------
-        # The classic loop: one consumer call per event.  An *imposed*
-        # sliding window also lands here regardless of config.pipeline:
-        # once the window fills, every insert is preceded by an expire
-        # tick, so insert runs degenerate to single events and the
-        # batched loop would only add flush bookkeeping per event.
-        # (Scenario-emitted expiry - churn bursts - batches fine and
-        # stays on the batched path.)  Results are identical either way.
-        # ------------------------------------------------------------------
-        # Per-shard fast-forward: each shard skips the prefix its own
-        # checkpoint already covers (the sharder's assignment table
-        # replays regardless, because split() routes every event).
-        skips = {shard_id: runs[shard_id].raw_consumed for shard_id in owned}
-        consumed = 0
-        for shard, event in sharder.split(stream):
-            consumed += 1
-            shard_run = runs.get(shard)
-            if shard_run is None:
-                continue
-            if consumed <= skips[shard]:
-                continue
-            shard_run.raw_consumed = consumed
-            if reg is not None:
-                shard_run.shard_events += 1
-            if event.is_epoch:
+        shard_run = runs[shard]
+        shard_run.raw_consumed = consumed
+        if item is None:
+            continue
+        if type(item) is list:
+            shard_run.flush_inserts(item)
+            if (
+                config.epoch_every is not None
+                and shard_run.inserts_done % config.epoch_every == 0
+            ):
                 shard_run.deliver_epoch()
-                continue
-            if event.is_expire:
-                shard_run.deliver_expire(event.thread, event.obj)
-                continue
-            shard_run.observe_insert(event.thread, event.obj)
-        for shard_id in owned:
-            if consumed < skips[shard_id]:
-                raise EngineError(
-                    f"stream exhausted while fast-forwarding shard "
-                    f"{shard_id} to event {skips[shard_id]}; the checkpoint "
-                    f"does not match this stream"
-                )
-            runs[shard_id].raw_consumed = consumed
-    else:
-        # ------------------------------------------------------------------
-        # The batched pipeline: runs of consecutive inserts, cut at
-        # lifecycle ticks and chunk / epoch boundaries, flow through
-        # observe_batch (mechanisms) and advance_batch (kernels) so the
-        # per-event Python dispatch is paid once per run, not per event.
-        # The runs arrive whole - and already routed to their owning
-        # shard - from StreamSharder.split_runs_group, so this driver
-        # resumes once per run / boundary event instead of once per
-        # tagged event.  Identical interleaving per shard, identical
-        # numbers - the fingerprint equality with the per-event loop and
-        # with every other scheduling mode is asserted in CI.
-        # ------------------------------------------------------------------
-        caps = {shard_id: runs[shard_id].run_cap for shard_id in owned}
-        skips = {shard_id: runs[shard_id].raw_consumed for shard_id in owned}
-        # Boundary checks run after *every* flushed run, but only a
-        # cap-sized run can actually land on a chunk/epoch boundary: the
-        # sharder re-evaluates run_cap() at each run's first insert, so
-        # a run cut short by a lifecycle event (or end of stream) always
-        # stops strictly before one.
-        for shard, consumed, item in sharder.split_runs_group(
-            stream, owned, caps, skips
-        ):
-            shard_run = runs[shard]
-            shard_run.raw_consumed = consumed
-            if item is None:
-                continue
-            if type(item) is list:
-                shard_run.flush_inserts(item)
-                if (
-                    config.epoch_every is not None
-                    and shard_run.inserts_done % config.epoch_every == 0
-                ):
-                    shard_run.deliver_epoch()
-                if shard_run.chunk.inserts == config.chunk_size:
-                    # The chunk's frozen digest must be current, so the
-                    # kernels catch up right before the boundary.
-                    shard_run.flush_stamps()
-                    shard_run.complete_chunk()
-                    shard_run.interrupt_if_due()
-                continue
-            if item.kind == EPOCH:
-                shard_run.deliver_epoch()
-            else:
-                shard_run.deliver_expire(item.thread, item.obj)
+            if shard_run.chunk.inserts == config.chunk_size:
+                # The chunk's frozen digest must be current, so the
+                # kernels catch up right before the boundary.
+                shard_run.flush_stamps()
+                shard_run.complete_chunk()
+                shard_run.interrupt_if_due()
+            continue
+        if item.kind == EPOCH:
+            shard_run.deliver_epoch()
+        else:
+            shard_run.deliver_expire(item.thread, item.obj)
 
     partials = {shard_id: runs[shard_id].finish() for shard_id in owned}
     if reg is not None:
@@ -913,17 +802,14 @@ def run_shard_group(
                 "engine.shard",
                 group_started,
                 perf_counter() - group_started,
-                (("pipeline", config.pipeline), ("shard", owned[0])),
+                (("shard", owned[0]),),
             )
         else:
             reg.record_span(
                 "engine.group",
                 group_started,
                 perf_counter() - group_started,
-                (
-                    ("pipeline", config.pipeline),
-                    ("shards", f"{owned[0]}-{owned[-1]}"),
-                ),
+                (("shards", f"{owned[0]}-{owned[-1]}"),),
             )
     return partials
 

@@ -209,9 +209,9 @@ class StreamSharder:
     ) -> Iterator[Tuple[int, Union[List[Tuple[Vertex, Vertex]], StreamEvent, None]]]:
         """One shard's sub-stream as whole insert runs plus boundary events.
 
-        The batched pipeline's replacement for ``split()`` + a per-event
-        consumer loop: the routing, filtering and run accumulation all
-        happen inside this generator's single loop, so the driver
+        The engine's replacement for ``split()`` + a per-event consumer
+        loop: the routing, filtering and run accumulation all happen
+        inside this generator's single loop, so the driver
         resumes once per *run* instead of paying a ``next()`` dispatch
         and a tuple unpack per tagged event.  Yields ``(consumed,
         item)`` where ``item`` is one of:
@@ -228,11 +228,12 @@ class StreamSharder:
 
         ``consumed`` counts *tagged* events exactly as a ``split()``
         loop would have (epoch markers are broadcast, one count per
-        shard), which keeps checkpoints interchangeable between the
-        per-event and batched pipelines.  A run flushed because its cap
-        was reached reports the count through its own last insert; runs
-        flushed by a boundary event report the count *before* that
-        event, whose own yield then accounts for it.
+        shard), so checkpoints written by the engine's earlier
+        one-event-at-a-time loop, which counted with ``split()``, still
+        resume (``tests/data/legacy_checkpoints/`` pins this).  A run
+        flushed because its cap was reached reports the count through
+        its own last insert; runs flushed by a boundary event report the
+        count *before* that event, whose own yield then accounts for it.
 
         ``skip`` fast-forwards a resumed shard: that many tagged events
         are consumed - routed through the assignment table, which must

@@ -8,7 +8,9 @@ violate silently:
 
 * ``C201`` - the hoisted ``observe_batch`` fast path must keep the
   ``super()`` fallback guard, or subclass hook overrides are silently
-  skipped in batched runs (bit-identity between pipelines breaks);
+  skipped in batched runs (``observe_batch`` stops being bit-identical
+  to the ``observe`` loop, the engine's run-batched loop stops matching
+  the simulator's per-event oracle);
 * ``C203`` - every ``EngineConfig`` field needs an explicit decision
   about run-signature membership (the ``timestamps``-in-signature class
   of bug from PR 5);

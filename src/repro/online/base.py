@@ -274,7 +274,7 @@ class OnlineMechanism(abc.ABC):
         """Reveal a chunk of ``(thread, object)`` pairs; clock size after each.
 
         The batched counterpart of :meth:`observe`, and the unit the
-        chunked execution pipeline feeds: one call per run of consecutive
+        sharded engine's event loop feeds: one call per run of consecutive
         inserts, with expire / epoch ticks delivered between calls so the
         lifecycle semantics are untouched.  **Contract:** bit-identical
         to calling :meth:`observe` once per pair, in order - same

@@ -45,13 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.computation.streams import (
-    EPOCH,
-    EventLike,
-    as_stream_event,
-    iter_event_batches,
-    sliding_window,
-)
+from repro.computation.streams import EventLike, as_stream_event, sliding_window
 from repro.exceptions import ComputationError
 from repro.computation.trace import Computation
 from repro.graph.bipartite import BipartiteGraph, Vertex
@@ -203,7 +197,6 @@ def compare_mechanisms_on_stream(
     include_offline: bool = True,
     window: Optional[int] = None,
     epoch: Optional[int] = None,
-    batch_size: Optional[int] = None,
 ) -> Dict[str, OnlineRunResult]:
     """Run several mechanisms and the dynamic optimum over one event stream.
 
@@ -226,17 +219,12 @@ def compare_mechanisms_on_stream(
     is the per-insert minimum-vertex-cover size of the *live* (windowed /
     non-expired) graph.
 
-    ``batch_size`` switches the consumption loop to the chunked pipeline:
-    runs of consecutive inserts (cut at lifecycle ticks, counter-epoch
-    boundaries and ``batch_size``) are fed through each mechanism's
-    :meth:`~repro.online.base.OnlineMechanism.observe_batch`.  The
-    results are bit-identical to the per-event loop (``None``, the
-    default) - batching only changes the wall-clock.
+    This one-call-per-event loop is the reference the sharded engine is
+    checked against: each engine shard must reproduce, sample for
+    sample, what this function computes over that shard's sub-stream.
     """
     if epoch is not None and epoch < 1:
         raise ComputationError(f"epoch must be >= 1, got {epoch}")
-    if batch_size is not None and batch_size < 1:
-        raise ComputationError(f"batch_size must be >= 1, got {batch_size}")
     if window is not None:
         events = sliding_window(events, window)
     mechanisms = {label: factory() for label, factory in factories.items()}
@@ -256,68 +244,26 @@ def compare_mechanisms_on_stream(
         for mechanism in mechanisms.values():
             mechanism.end_epoch()
 
-    if batch_size is not None:
-
-        def feed(segment: List[Tuple[Vertex, Vertex]]) -> None:
-            nonlocal inserts
+    for item in events:
+        event = as_stream_event(item)
+        if event.is_epoch:
+            deliver_epoch()
+        elif event.is_insert:
+            inserts += 1
             for label, mechanism in mechanisms.items():
-                trajectories[label].extend(mechanism.observe_batch(segment))
+                mechanism.observe(event.thread, event.obj)
+                trajectories[label].append(mechanism.clock_size)
             if engine is not None:
-                add_edge = engine.add_edge
-                append = offline_sizes.append
-                for thread, obj in segment:
-                    add_edge(thread, obj)
-                    append(engine.size)
-            inserts += len(segment)
-
-        def process_run(run: List[Tuple[Vertex, Vertex]]) -> None:
-            if epoch is None:
-                # No counter epochs: the whole run is one segment, no
-                # sub-split arithmetic on the hot path.
-                feed(run)
-                return
-            # Sub-split at counter-epoch boundaries, so epoch ticks land
-            # exactly where the per-event loop would deliver them.
-            start = 0
-            while start < len(run):
-                segment = run[start:start + epoch - inserts % epoch]
-                feed(segment)
-                start += len(segment)
-                if inserts % epoch == 0:
-                    deliver_epoch()
-
-        for item in iter_event_batches(events, batch_size):
-            if isinstance(item, list):
-                process_run([(event.thread, event.obj) for event in item])
-            elif item.kind == EPOCH:
+                engine.add_edge(event.thread, event.obj)
+                offline_sizes.append(engine.size)
+            if epoch is not None and inserts % epoch == 0:
                 deliver_epoch()
-            else:
-                expires += 1
-                for mechanism in mechanisms.values():
-                    mechanism.expire(item.thread, item.obj)
-                if engine is not None:
-                    engine.remove_edge(item.thread, item.obj)
-    else:
-        for item in events:
-            event = as_stream_event(item)
-            if event.is_epoch:
-                deliver_epoch()
-            elif event.is_insert:
-                inserts += 1
-                for label, mechanism in mechanisms.items():
-                    mechanism.observe(event.thread, event.obj)
-                    trajectories[label].append(mechanism.clock_size)
-                if engine is not None:
-                    engine.add_edge(event.thread, event.obj)
-                    offline_sizes.append(engine.size)
-                if epoch is not None and inserts % epoch == 0:
-                    deliver_epoch()
-            else:
-                expires += 1
-                for mechanism in mechanisms.values():
-                    mechanism.expire(event.thread, event.obj)
-                if engine is not None:
-                    engine.remove_edge(event.thread, event.obj)
+        else:
+            expires += 1
+            for mechanism in mechanisms.values():
+                mechanism.expire(event.thread, event.obj)
+            if engine is not None:
+                engine.remove_edge(event.thread, event.obj)
     results: Dict[str, OnlineRunResult] = {}
     for label, mechanism in mechanisms.items():
         results[label] = OnlineRunResult(

@@ -10,9 +10,10 @@ Three layers of the chunked execution path are pinned down here:
 * **kernel** - ``timestamp_batch`` / ``advance_batch`` mint/fold exactly
   what per-event ``observe`` does, across random chunkings and
   mid-stream component extensions;
-* **engine** - the per-event and batched pipelines produce one
-  fingerprint, including the stamp digests, through interrupt/resume
-  mid-run and checkpointed restarts.
+* **engine** - the run-batched loop carries per-label stamp digests
+  under the fingerprint through interrupt/resume mid-run and
+  checkpointed restarts (its sample-for-sample agreement with the
+  simulator's per-event loop is checked in ``test_engine_lifecycle``).
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ from hypothesis import strategies as st
 
 from repro.analysis.experiments import EXTENDED_MECHANISMS
 from repro.cli import main
-from repro.computation.streams import epoch_marker, iter_event_batches, StreamEvent
 from repro.core.components import ClockComponents
 from repro.core.kernel import ClockKernel, fold_stamp_values
 from repro.engine import EngineCheckpointManager, EngineConfig, run_engine
 from repro.engine.runner import EngineInterrupted
-from repro.exceptions import ComputationError, EngineError
+from repro.exceptions import EngineError
 from repro.online.adaptive import WindowedPopularityMechanism
 
 
@@ -300,7 +300,7 @@ class TestKernelBatchBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Engine pipelines
+# Engine stamp digests
 # ---------------------------------------------------------------------------
 MATRIX_CONFIG = dict(
     scenario="thread-churn",
@@ -318,15 +318,6 @@ MATRIX_CONFIG = dict(
 
 
 class TestEnginePipelines:
-    def test_fingerprint_matrix(self):
-        fingerprints = {
-            pipeline: run_engine(
-                EngineConfig(pipeline=pipeline, **MATRIX_CONFIG)
-            ).fingerprint()
-            for pipeline in ("per-event", "batched")
-        }
-        assert len(set(fingerprints.values())) == 1, fingerprints
-
     def test_stamp_digests_present_and_carried(self):
         result = run_engine(EngineConfig(**MATRIX_CONFIG))
         labels = {label for _, label in result.partial.series}
@@ -357,28 +348,6 @@ class TestEnginePipelines:
         with pytest.raises(EngineError, match="append-only"):
             config.validate()
 
-    def test_unknown_pipeline_rejected(self):
-        with pytest.raises(EngineError, match="unknown pipeline"):
-            EngineConfig(scenario="thread-churn", pipeline="warp").validate()
-
-    def test_batched_with_window_and_epochs_matches_per_event(self):
-        base = dict(
-            scenario="hot-object-drift",
-            num_threads=20,
-            num_objects=20,
-            density=0.2,
-            num_events=800,
-            seed=5,
-            num_shards=2,
-            chunk_size=150,
-            window=120,
-            epoch_every=90,
-            mechanisms=("naive", "adaptive-popularity", "epoch-hybrid"),
-        )
-        per_event = run_engine(EngineConfig(pipeline="per-event", **base))
-        batched = run_engine(EngineConfig(pipeline="batched", **base))
-        assert batched.fingerprint() == per_event.fingerprint()
-
     def test_interrupt_resume_mid_chunk_batched(self, tmp_path):
         reference = run_engine(EngineConfig(**MATRIX_CONFIG))
         config = EngineConfig(
@@ -402,36 +371,6 @@ class TestEnginePipelines:
         run_engine(config)
         with pytest.raises(EngineError, match="different run configuration"):
             run_engine(dataclasses.replace(config, timestamps=False))
-
-
-# ---------------------------------------------------------------------------
-# Stream batching helpers and simulator parity
-# ---------------------------------------------------------------------------
-class TestIterEventBatches:
-    def test_partitions_at_lifecycle_events(self):
-        events = [
-            StreamEvent("T0", "O0"),
-            StreamEvent("T1", "O1"),
-            StreamEvent("T0", "O0", "expire"),
-            epoch_marker(),
-            StreamEvent("T1", "O0"),
-        ]
-        batches = list(iter_event_batches(events, max_batch=10))
-        assert [len(b) if isinstance(b, list) else b.kind for b in batches] == [
-            2,
-            "expire",
-            "epoch",
-            1,
-        ]
-
-    def test_max_batch_cuts_runs(self):
-        events = [StreamEvent(f"T{i}", "O0") for i in range(5)]
-        batches = list(iter_event_batches(events, max_batch=2))
-        assert [len(b) for b in batches] == [2, 2, 1]
-
-    def test_rejects_non_positive_cap(self):
-        with pytest.raises(ComputationError):
-            list(iter_event_batches([], max_batch=0))
 
 
 # ---------------------------------------------------------------------------
@@ -541,24 +480,19 @@ class TestCli:
                 "engine", "run", "--scenario", "thread-churn",
                 "--events", "400", "--nodes", "15", "--shards", "2",
                 "--chunk-size", "100", "--mechanisms", "naive",
-                "--pipeline", "per-event", "--timestamps",
+                "--timestamps",
             ]
         )
-        out_per_event = capsys.readouterr().out
+        out = capsys.readouterr().out
         assert code == 0
-        code = main(
-            [
-                "engine", "run", "--scenario", "thread-churn",
-                "--events", "400", "--nodes", "15", "--shards", "2",
-                "--chunk-size", "100", "--mechanisms", "naive",
-                "--pipeline", "batched", "--timestamps",
-            ]
-        )
-        out_batched = capsys.readouterr().out
-        assert code == 0
-        fp_a = [l for l in out_per_event.splitlines() if "fingerprint" in l]
-        fp_b = [l for l in out_batched.splitlines() if "fingerprint" in l]
-        assert fp_a == fp_b
+        expected = run_engine(
+            EngineConfig(
+                scenario="thread-churn", num_threads=15, num_objects=15,
+                num_events=400, num_shards=2, chunk_size=100,
+                mechanisms=("naive",), timestamps=True,
+            )
+        ).fingerprint()
+        assert f"fingerprint: {expected}" in out.splitlines()
 
     @pytest.mark.parametrize(
         "argv",
@@ -566,11 +500,17 @@ class TestCli:
             ["engine", "run", "--scenario", "thread-churn", "--backend", "python"],
             ["engine", "run", "--scenario", "thread-churn", "--rotation", "delta"],
             ["sweep", "ratio", "--scenario", "thread-churn", "--backend", "python"],
+            ["engine", "run", "--scenario", "thread-churn", "--pipeline", "batched"],
+            ["sweep", "ratio", "--scenario", "thread-churn", "--batch", "64"],
         ],
-        ids=["engine-backend", "engine-rotation", "sweep-backend"],
+        ids=[
+            "engine-backend", "engine-rotation", "sweep-backend",
+            "engine-pipeline", "sweep-batch",
+        ],
     )
     def test_kernel_path_options_do_not_exist(self, argv, capsys):
-        # One kernel loop and one rotation default: nothing to select.
+        # One kernel loop, one event loop per driver and one rotation
+        # default: nothing to select.
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2

@@ -14,10 +14,19 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.experiments import EXTENDED_MECHANISMS
 from repro.cli import main
+from repro.computation import REGISTRY, STREAM
 from repro.engine import EngineConfig, EngineInterrupted, run_engine
+from repro.engine.runner import run_shard
+from repro.engine.sharding import StreamSharder
 from repro.exceptions import EngineError
+from repro.online import compare_mechanisms_on_stream, seed_mechanism_factories
+from repro.online.simulator import OFFLINE_LABEL
+from repro.seeds import derive_seed
 
 ADAPTIVE_CONFIG = EngineConfig(
     scenario="thread-churn",
@@ -31,6 +40,34 @@ ADAPTIVE_CONFIG = EngineConfig(
     epoch_every=150,
     mechanisms=("popularity", "adaptive-popularity", "epoch-hybrid"),
 )
+
+
+def per_event_oracle(config: EngineConfig, shard_id: int):
+    """One shard's results from the simulator's one-event-at-a-time loop.
+
+    The shard's sub-stream (:meth:`StreamSharder.select` of the run's
+    stream) with the shard's mechanism seeds, window and epoch counter:
+    exactly what the engine's shard consumers must compute.
+    """
+    scenario = REGISTRY.get(config.scenario, kind=STREAM)
+    stream = scenario.build(
+        config.num_threads,
+        config.num_objects,
+        config.density,
+        config.num_events,
+        seed=derive_seed(config.seed, config.scenario, "stream"),
+    )
+    factories = seed_mechanism_factories(
+        {label: EXTENDED_MECHANISMS[label] for label in config.mechanisms},
+        derive_seed(config.seed, config.scenario, "shard", shard_id),
+    )
+    return compare_mechanisms_on_stream(
+        StreamSharder(config.num_shards, config.strategy).select(stream, shard_id),
+        factories,
+        include_offline=config.include_offline,
+        window=config.window,
+        epoch=config.epoch_every,
+    )
 
 
 class TestAdaptiveEngineDeterminism:
@@ -194,41 +231,66 @@ class TestCrossShardPercentiles:
         agree even when a shard's sub-stream ends in expire events that
         retire components (the count-0 lifecycle-fragment path).
         """
-        from repro.computation import REGISTRY, STREAM
-        from repro.engine.runner import run_shard
-        from repro.engine.sharding import StreamSharder
-        from repro.online import compare_mechanisms_on_stream, seed_mechanism_factories
-        from repro.analysis.experiments import EXTENDED_MECHANISMS
-        from repro.seeds import derive_seed
-
         config = ADAPTIVE_CONFIG
-        scenario = REGISTRY.get(config.scenario, kind=STREAM)
         for shard_id in range(config.num_shards):
             partial = run_shard(config, shard_id)
-            stream = scenario.build(
-                config.num_threads,
-                config.num_objects,
-                config.density,
-                config.num_events,
-                seed=derive_seed(config.seed, config.scenario, "stream"),
-            )
-            sub_stream = StreamSharder(config.num_shards, config.strategy).select(
-                stream, shard_id
-            )
-            factories = seed_mechanism_factories(
-                {label: EXTENDED_MECHANISMS[label] for label in config.mechanisms},
-                derive_seed(config.seed, config.scenario, "shard", shard_id),
-            )
-            reference = compare_mechanisms_on_stream(
-                sub_stream,
-                factories,
-                include_offline=True,
-                epoch=config.epoch_every,
-            )
+            reference = per_event_oracle(config, shard_id)
             for label in config.mechanisms:
                 fragment = partial.series[(shard_id, label)]
                 assert fragment.final_size == reference[label].final_size
                 assert fragment.retired == reference[label].retired_components
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scenario=st.sampled_from(["hot-object-drift", "phase-change"]),
+        num_shards=st.integers(min_value=1, max_value=3),
+        chunk_size=st.integers(min_value=10, max_value=60),
+        window_factor=st.floats(min_value=0.05, max_value=2.5),
+        epoch_factor=st.floats(min_value=0.2, max_value=2.5),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_windowed_shards_match_per_event_oracle(
+        self, scenario, num_shards, chunk_size, window_factor, epoch_factor,
+        seed,
+    ):
+        """Every windowed shard equals the per-event simulator, sample for sample.
+
+        ``window`` is drawn below and above ``chunk_size`` and
+        ``epoch_every`` below and above ``window``, so runs are cut by
+        chunk, epoch and window boundaries in every order, including
+        the one-insert runs of a full window.
+        """
+        window = max(1, round(chunk_size * window_factor))
+        config = EngineConfig(
+            scenario=scenario,
+            num_threads=10,
+            num_objects=10,
+            density=0.3,
+            num_events=240,
+            seed=seed,
+            num_shards=num_shards,
+            chunk_size=chunk_size,
+            window=window,
+            epoch_every=max(1, round(window * epoch_factor)),
+            mechanisms=(
+                "naive", "popularity", "adaptive-popularity", "epoch-hybrid",
+            ),
+            trajectory_stride=1,
+        )
+        for shard_id in range(num_shards):
+            partial = run_shard(config, shard_id)
+            reference = per_event_oracle(config, shard_id)
+            assert partial.expires == reference[OFFLINE_LABEL].expires_seen
+            assert partial.epochs == reference[OFFLINE_LABEL].epochs
+            for label in config.mechanisms + (OFFLINE_LABEL,):
+                fragment = partial.series.get((shard_id, label))
+                expected = reference[label]
+                if fragment is None:
+                    assert expected.size_trajectory == ()
+                    continue
+                assert fragment.samples == expected.size_trajectory, label
+                assert fragment.final_size == expected.final_size, label
+                assert fragment.retired == expected.retired_components, label
 
 
 class TestEngineCli:

@@ -1,22 +1,27 @@
 """Absolute golden values: engine fingerprints and the paper's running example.
 
-Every other identity test in the suite is *relative* (pipeline A equals
-pipeline B, one worker equals four, a resumed run equals an
-uninterrupted one), so a semantic drift that moves every mode equally
-would pass them all.  This module pins absolute values instead:
+Most identity tests in the suite are *relative* (one worker equals
+four, a resumed run equals an uninterrupted one), so a semantic drift
+that moves every mode equally would pass them all.  This module pins
+absolute values instead:
 
 * SHA-256 engine fingerprints of three small runs, one per registered
-  stream scenario, each at ``workers`` 1 and 2 and through both
-  pipelines - thread churn with timestamps, the offline optimum and a
-  checkpoint interrupt/resume; hot-object drift with timestamps and the
-  optimum off; phase change under an imposed window with ``epoch_every``
-  and the window-aware mechanisms;
+  stream scenario, each at ``workers`` 1 and 2 - thread churn with
+  timestamps, the offline optimum and a checkpoint interrupt/resume;
+  hot-object drift with timestamps and the optimum off; phase change
+  under an imposed window with ``epoch_every`` and the window-aware
+  mechanisms;
 * the paper's running example (Fig. 1 / Fig. 3): optimal components
   ``['O2', 'O3', 'T2']`` and final stamp ``<T2:3, O2:3, O3:3>``;
-* checkpoint directories written by an earlier release, whose kernels
-  pickled a since-removed backend helper (``tests/data/legacy_checkpoints``):
-  the timestamped one must be refused with a clean error naming the shard
-  file, the untimestamped one must resume to its pinned fingerprint.
+* checkpoint directories written by earlier releases
+  (``tests/data/legacy_checkpoints``).  Two come from a release whose
+  kernels pickled a since-removed backend helper: the timestamped one
+  must be refused with a clean error naming the shard file, the
+  untimestamped one must resume to its pinned fingerprint.  The windowed
+  one (an imposed window with ``epoch_every``, interrupted after one
+  chunk) was written by the engine's since-removed one-event-at-a-time
+  loop, the only loop that ever ran imposed windows before; it must
+  resume under the single run-batched loop to its pinned fingerprint.
 
 Re-blessing.  A golden value may change only on purpose - a deliberate
 change to the numbers a run computes, never a refactor.  To re-bless:
@@ -82,25 +87,36 @@ GOLDEN = {
 LEGACY_DIR = Path(__file__).parent / "data" / "legacy_checkpoints"
 
 
-def legacy_config(timestamps: bool) -> EngineConfig:
-    """The configuration the legacy checkpoint directories were written by."""
-    return EngineConfig(
-        scenario="thread-churn",
-        num_threads=8,
-        num_objects=8,
-        density=0.3,
-        num_events=600,
-        num_shards=2,
-        chunk_size=100,
-        mechanisms=("naive", "popularity"),
-        timestamps=timestamps,
-    )
+_LEGACY_SHAPE = dict(
+    num_threads=8, num_objects=8, density=0.3, num_events=600, num_shards=2,
+    chunk_size=100,
+)
 
+#: The configurations the legacy checkpoint directories were written by,
+#: keyed by directory name.
+LEGACY_CONFIGS = {
+    "timestamped": EngineConfig(
+        scenario="thread-churn", mechanisms=("naive", "popularity"),
+        timestamps=True, **_LEGACY_SHAPE,
+    ),
+    "untimestamped": EngineConfig(
+        scenario="thread-churn", mechanisms=("naive", "popularity"),
+        **_LEGACY_SHAPE,
+    ),
+    "windowed": EngineConfig(
+        scenario="phase-change",
+        window=60,
+        epoch_every=70,
+        mechanisms=("popularity", "adaptive-popularity", "epoch-hybrid"),
+        **_LEGACY_SHAPE,
+    ),
+}
 
-#: Uninterrupted fingerprints of :func:`legacy_config`, by ``timestamps``.
+#: Uninterrupted fingerprints of :data:`LEGACY_CONFIGS`.
 LEGACY_FINGERPRINTS = {
-    True: "c1e5274c5a51cd6a78e88df11ffca5823a78422a0a0b7f1b8c0ffb9751cb438e",
-    False: "9832ebcc6ffeedba66d8cf0d4b25e509cae0d439301f5fa6106063730c978811",
+    "timestamped": "c1e5274c5a51cd6a78e88df11ffca5823a78422a0a0b7f1b8c0ffb9751cb438e",
+    "untimestamped": "9832ebcc6ffeedba66d8cf0d4b25e509cae0d439301f5fa6106063730c978811",
+    "windowed": "4fc966475a4233292983cb91a58c19df00a2c895c945c48a508ace50e41140b1",
 }
 
 
@@ -108,12 +124,6 @@ LEGACY_FINGERPRINTS = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_engine_fingerprint_is_golden(case, workers):
     config = dataclasses.replace(CASES[case], workers=workers)
-    assert run_engine(config).fingerprint() == GOLDEN[case]
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_per_event_pipeline_is_golden(case):
-    config = dataclasses.replace(CASES[case], pipeline="per-event")
     assert run_engine(config).fingerprint() == GOLDEN[case]
 
 
@@ -147,19 +157,31 @@ class TestLegacyCheckpoints:
     def _contents(directory):
         return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
+    @staticmethod
+    def _config(kind, directory):
+        return dataclasses.replace(
+            LEGACY_CONFIGS[kind], checkpoint_dir=str(directory)
+        )
+
     def test_untimestamped_legacy_checkpoint_resumes(self, tmp_path):
         directory = self._copy("untimestamped", tmp_path)
+        config = self._config("untimestamped", directory)
+        fingerprint = run_engine(config).fingerprint()
+        assert fingerprint == LEGACY_FINGERPRINTS["untimestamped"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_windowed_legacy_checkpoint_resumes(self, tmp_path, workers):
+        directory = self._copy("windowed", tmp_path)
         config = dataclasses.replace(
-            legacy_config(False), checkpoint_dir=str(directory)
+            self._config("windowed", directory), workers=workers
         )
-        assert run_engine(config).fingerprint() == LEGACY_FINGERPRINTS[False]
+        fingerprint = run_engine(config).fingerprint()
+        assert fingerprint == LEGACY_FINGERPRINTS["windowed"]
 
     def test_timestamped_legacy_checkpoint_is_refused(self, tmp_path):
         directory = self._copy("timestamped", tmp_path)
         before = self._contents(directory)
-        config = dataclasses.replace(
-            legacy_config(True), checkpoint_dir=str(directory)
-        )
+        config = self._config("timestamped", directory)
         with pytest.raises(EngineError) as excinfo:
             run_engine(config)
         assert str(directory / "shard-1.pickle") in str(excinfo.value)
@@ -170,10 +192,9 @@ class TestLegacyCheckpoints:
     def test_cleaned_legacy_directory_recomputes(self, tmp_path, capsys):
         directory = self._copy("timestamped", tmp_path)
         assert main(["engine", "clean", str(directory), "--max-age", "0"]) == 0
-        config = dataclasses.replace(
-            legacy_config(True), checkpoint_dir=str(directory)
-        )
-        assert run_engine(config).fingerprint() == LEGACY_FINGERPRINTS[True]
+        config = self._config("timestamped", directory)
+        fingerprint = run_engine(config).fingerprint()
+        assert fingerprint == LEGACY_FINGERPRINTS["timestamped"]
 
 
 def _print_current_values() -> None:
@@ -183,9 +204,9 @@ def _print_current_values() -> None:
         print(f'    "{case}": "{run_engine(CASES[case]).fingerprint()}",')
     print("}")
     print("LEGACY_FINGERPRINTS = {")
-    for timestamps in (True, False):
-        fingerprint = run_engine(legacy_config(timestamps)).fingerprint()
-        print(f'    {timestamps}: "{fingerprint}",')
+    for kind in sorted(LEGACY_CONFIGS):
+        fingerprint = run_engine(LEGACY_CONFIGS[kind]).fingerprint()
+        print(f'    "{kind}": "{fingerprint}",')
     print("}")
 
 

@@ -1,9 +1,8 @@
 """Tests for the telemetry layer: registry, merging, exporters, identity.
 
 The load-bearing property is the last test class: fingerprints must be
-*bit-identical* with and without an installed registry, across every
-pipeline/worker-count combination - telemetry is observed, never
-observed-from.  Everything else (counter arithmetic, snapshot merging,
+*bit-identical* with and without an installed registry, at every
+worker count - telemetry is observed, never observed-from.  Everything else (counter arithmetic, snapshot merging,
 the three export formats) supports that contract's operator surface.
 """
 
@@ -332,10 +331,9 @@ BASE_CONFIG = EngineConfig(
 
 
 class TestFingerprintIdentity:
-    @pytest.mark.parametrize("pipeline", ["per-event", "batched"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_metrics_on_off_identical(self, pipeline, workers):
-        config = dataclasses.replace(BASE_CONFIG, pipeline=pipeline, workers=workers)
+    def test_metrics_on_off_identical(self, workers):
+        config = dataclasses.replace(BASE_CONFIG, workers=workers)
         baseline = run_engine(config)
         registry = enable(MetricsRegistry(origin="engine"))
         try:
