@@ -1,16 +1,19 @@
 """Extra experiment E10: incremental epoch rotation vs the replay baseline.
 
-ROADMAP item 5's boundary cost, measured head-to-head.  Two legs:
+The driver's boundary cost, measured head-to-head.  Two legs:
 
 * **rotation latency** - one rotation-heavy churn stream (ID space far
   above the sliding window, so nearly every expiry retires its dead
-  endpoints and triggers a pure-subset rotation) driven through
-  :class:`LifecycleClockDriver` twice: once with the ``"delta"``
-  strategy (live stamps projected by dropping retired slots) and once
-  with the ``"replay"`` baseline (the whole live window re-observed).
-  ``driver.rotation_s`` p50/p95/p99 and stream events/sec are recorded
-  per strategy; the full run asserts delta p99 at least
-  :data:`ROTATION_P99_BAR` times lower and throughput no worse.
+  endpoints and triggers a pure-subset rotation) driven twice: once
+  through :class:`LifecycleClockDriver`, whose clock takes the delta
+  path on every pure retirement (live stamps projected by dropping
+  retired slots), and once through :class:`ReplayBaselineDriver`, the
+  replay baseline built here from the public API (at each rotation a
+  fresh :class:`EpochClock` over the mechanism's new set re-observes
+  the whole live window in stream order).  ``driver.rotation_s``
+  p50/p95/p99 and stream events/sec are recorded per arm; the full run
+  asserts delta p99 at least :data:`ROTATION_P99_BAR` times lower and
+  throughput no worse.
 * **cover boundary pause** - the persistent :class:`DynamicMatching`'s
   incrementally repaired König cover vs the pre-PR-10 behaviour (a
   fresh matching rebuilt from every live edge at every epoch boundary),
@@ -20,10 +23,11 @@ ROADMAP item 5's boundary cost, measured head-to-head.  Two legs:
   boundary samples make the p99 a noisy near-max).
 
 The timed legs install a metrics registry on purpose - the rotation
-histogram *is* the measurement - but both strategies run under
-identical instrumentation, so the head-to-head stays fair, and the
-cyclic GC is disabled around each measured stream (standard latency
-isolation; both arms get the same treatment).
+histogram *is* the measurement - but both arms run under identical
+instrumentation and time their rotations the same way, so the
+head-to-head stays fair, and the cyclic GC is disabled around each
+measured stream (standard latency isolation; both arms get the same
+treatment).
 
 Full-scale footprint: the delta arm keeps lazy projection/extension
 wrappers alive for the whole window (reclaimed on read or expiry), so
@@ -31,9 +35,9 @@ the rotation leg peaks around ~2 GB RSS at the full 32k-ID/4k-window
 scale; the smoke run is a few hundred kilobytes.  Under ``--smoke``
 the perf bars are skipped (the scales are too small for stable tail
 percentiles - the precedent bench_engine_scaling set) and the leg
-instead asserts the structural facts: every rotation took the expected
-path, both arms agree on rotations, retirements, final clock size and
-a sampled causality surface.
+instead asserts the structural facts: every driver rotation took the
+delta path, and both arms agree on rotations, retirements, final clock
+size and a sampled causality surface.
 """
 
 from __future__ import annotations
@@ -41,14 +45,20 @@ from __future__ import annotations
 import gc
 import random
 import time
+from collections import deque
 
 import pytest
 
 from repro.computation.streams import as_stream_event, sliding_window
+from repro.core.timestamping import EpochClock
 from repro.graph.incremental import DynamicMatching
 from repro.graph.vertex_cover import validate_vertex_cover
 from repro.obs.exporters import metrics_document
-from repro.obs.registry import MetricsRegistry, install as obs_install
+from repro.obs.registry import (
+    MetricsRegistry,
+    active as obs_active,
+    install as obs_install,
+)
 from repro.online.adaptive import LifecycleClockDriver, WindowedPopularityMechanism
 
 from _common import (
@@ -77,12 +87,72 @@ ROTATION_P99_BAR = 5.0
 #: gate on).  The rotation leg above carries the issue's >=5x p99 bar.
 COVER_P50_BAR = 3.0
 
-#: Stream seed (shared by both strategies - same events, same order).
+#: Stream seed (shared by both arms - same events, same order).
 STREAM_SEED = 20_190_707
 
-#: Relation samples drawn from the final live window per strategy; the
-#: sampled verdict surface must match across strategies exactly.
+#: Relation samples drawn from the final live window per arm; the
+#: sampled verdict surface must match across arms exactly.
 VERDICT_SAMPLES = 200
+
+
+class ReplayBaselineDriver:
+    """The whole-window replay baseline, from the public API alone.
+
+    Forwards each tick to the mechanism exactly as
+    :class:`LifecycleClockDriver` does (extensions extend the clock in
+    place), but answers every rotation by building a fresh
+    :class:`EpochClock` over the mechanism's new component set and
+    re-observing the live pairs in stream order: ``O(window)``
+    update-rule applications per rotation.  The rebuild is timed into
+    the same ``driver.rotation_s`` histogram, with the same
+    ``driver.rotations`` / ``driver.retirements`` counters, that the
+    driver's own rotation funnel feeds.  Expiries must be FIFO (the
+    sliding window's contract), so the live pairs are a deque.
+    """
+
+    def __init__(self, mechanism):
+        self._mechanism = mechanism
+        self._clock = EpochClock(mechanism.components())
+        self._live = deque()
+
+    @property
+    def clock_size(self):
+        return self._mechanism.clock_size
+
+    def live_tokens(self):
+        return self._clock.live_tokens()
+
+    def relation(self, token_a, token_b):
+        return self._clock.relation(token_a, token_b)
+
+    def observe(self, thread, obj):
+        added = self._mechanism.observe(thread, obj)
+        if added is not None:
+            if added in self._mechanism.thread_components:
+                self._clock.extend(thread_components=(added,))
+            else:
+                self._clock.extend(object_components=(added,))
+        self._live.append((thread, obj))
+        return self._clock.observe(thread, obj)
+
+    def expire(self, thread, obj):
+        retired_before = self._mechanism.retired_total
+        self._mechanism.expire(thread, obj)
+        if self._live.popleft() != (thread, obj):
+            raise ValueError("the replay baseline needs FIFO expiries")
+        token = self._clock.expire(thread, obj)
+        retired_now = self._mechanism.retired_total
+        if retired_now != retired_before:
+            registry = obs_active()
+            registry.add("driver.retirements", retired_now - retired_before)
+            began = time.perf_counter()
+            clock = EpochClock(self._mechanism.components())
+            for pair in self._live:
+                clock.observe(*pair)
+            self._clock = clock
+            registry.add("driver.rotations")
+            registry.observe("driver.rotation_s", time.perf_counter() - began)
+        return token
 
 
 def _churn_events(ids, count, tag):
@@ -98,17 +168,20 @@ def _percentile(samples, pct):
     return ordered[min(len(ordered) - 1, int(len(ordered) * pct / 100))]
 
 
-def _run_rotation_leg(strategy):
-    """One instrumented pass of the churn stream under one strategy."""
+#: The two arms of the rotation leg: the driver (delta wherever the
+#: rotation is a pure retirement) and the replay baseline.
+ROTATION_ARMS = {"delta": LifecycleClockDriver, "replay": ReplayBaselineDriver}
+
+
+def _run_rotation_leg(arm):
+    """One instrumented pass of the churn stream through one arm."""
     events = _churn_events(ROTATION_IDS, ROTATION_EVENTS, tag=0)
-    registry = MetricsRegistry(origin=f"bench-epoch-rotation-{strategy}")
+    registry = MetricsRegistry(origin=f"bench-epoch-rotation-{arm}")
     previous = obs_install(registry)
     gc.collect()
     gc.disable()
     try:
-        driver = LifecycleClockDriver(
-            WindowedPopularityMechanism(), rotation=strategy
-        )
+        driver = ROTATION_ARMS[arm](WindowedPopularityMechanism())
         start = time.perf_counter()
         for item in sliding_window(events, ROTATION_WINDOW):
             event = as_stream_event(item)
@@ -122,17 +195,19 @@ def _run_rotation_leg(strategy):
         obs_install(previous)
     # The verdict surface is sampled *after* the timed region (reading a
     # relation materialises the delta arm's lazy projection chains).
+    # Positions, not tokens: the baseline's rebuilt clocks re-number
+    # their tokens, but both arms list the live window in stream order.
     alive = driver.live_tokens()
     rng = random.Random(STREAM_SEED)
-    verdicts = tuple(
-        driver.relation(*sorted(rng.sample(alive, 2)))
-        for _ in range(VERDICT_SAMPLES)
-    )
+    positions = [
+        sorted(rng.sample(range(len(alive)), 2)) for _ in range(VERDICT_SAMPLES)
+    ]
+    verdicts = tuple(driver.relation(alive[i], alive[j]) for i, j in positions)
     histogram = dict(registry.histograms())["driver.rotation_s"]
     counters = dict(registry.counters())
     total_events = 2 * ROTATION_EVENTS - ROTATION_WINDOW
     return {
-        "strategy": strategy,
+        "arm": arm,
         "elapsed_s": elapsed,
         "events_per_second": total_events / elapsed,
         "rotations": counters.get("driver.rotations", 0),
@@ -157,26 +232,26 @@ def test_rotation_latency_delta_vs_replay(benchmark, record_table, record_json):
     )
     replay, delta = legs
 
-    # Determinism across strategies: same rotations, same retirements,
-    # same final clock, same sampled causality verdicts.
+    # Determinism across arms: same rotations, same retirements, same
+    # final clock, same sampled causality verdicts.
     for key in ("rotations", "retirements", "clock_size", "verdicts"):
         assert delta[key] == replay[key], key
-    # Every rotation of each arm took its arm's path.
+    # Every driver rotation was a pure retirement and took the delta
+    # path; the baseline rebuilds clocks and never calls rotate.
     assert delta["delta_rotations"] == delta["rotations"] > 0
     assert delta["replay_rotations"] == 0
-    assert replay["replay_rotations"] == replay["rotations"] > 0
-    assert replay["delta_rotations"] == 0
+    assert replay["delta_rotations"] == replay["replay_rotations"] == 0
 
     lines = [
         f"churn stream: ids={ROTATION_IDS:,}  window={ROTATION_WINDOW:,}  "
         f"inserts={ROTATION_EVENTS:,}  rotations={delta['rotations']}  "
         f"final clock k={delta['clock_size']}",
-        f"{'strategy':>8}  {'p50':>9}  {'p95':>9}  {'p99':>9}  "
+        f"{'arm':>8}  {'p50':>9}  {'p95':>9}  {'p99':>9}  "
         f"{'events/s':>9}",
     ]
     for leg in (replay, delta):
         lines.append(
-            f"{leg['strategy']:>8}  "
+            f"{leg['arm']:>8}  "
             f"{leg['rotation_p50_s'] * 1e3:>7.1f}ms  "
             f"{leg['rotation_p95_s'] * 1e3:>7.1f}ms  "
             f"{leg['rotation_p99_s'] * 1e3:>7.1f}ms  "
@@ -194,8 +269,8 @@ def test_rotation_latency_delta_vs_replay(benchmark, record_table, record_json):
             "rotations": delta["rotations"],
             "clock_size": delta["clock_size"],
             "p99_ratio": p99_ratio,
-            "strategies": {
-                leg["strategy"]: {
+            "arms": {
+                leg["arm"]: {
                     key: leg[key]
                     for key in (
                         "elapsed_s",
@@ -220,7 +295,7 @@ def test_rotation_latency_delta_vs_replay(benchmark, record_table, record_json):
             f"path must clear {ROTATION_P99_BAR}x"
         )
         assert delta["events_per_second"] >= replay["events_per_second"], (
-            "the delta strategy must not cost stream throughput"
+            "the delta path must not cost stream throughput"
         )
 
 

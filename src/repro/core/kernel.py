@@ -215,9 +215,9 @@ def rebase_timestamp(
     Components present in both sets keep their values (whatever their
     slot index becomes); components only in the new set read zero - the
     value they would have carried had they existed when the stamp was
-    minted.  The single rebasing rule shared by the kernel's component
-    extension and :class:`~repro.core.timestamping.EpochClock`'s live
-    ledger, so the two can never drift apart.
+    minted.  :meth:`EpochClock.timestamp
+    <repro.core.timestamping.EpochClock.timestamp>` applies it on first
+    read to live-ledger stamps minted before a component extension.
     """
     old_index = stamp.components._index
     values = tuple(
@@ -728,105 +728,73 @@ class ClockKernel:
         return project
 
     def _rebase_stamps(self, new_components: ClockComponents) -> None:
-        """Re-express every stored clock over ``new_components`` by identity.
+        """Re-express every stored clock over an append of the current set.
+
+        ``new_components`` must be what :meth:`ClockComponents.extended`
+        produces: new threads after the old thread block, new objects at
+        the end, relative order preserved.  The rebase is then three
+        slices and two zero pads per stored vector instead of a per-slot
+        identity lookup - the difference between component growth being
+        free and it dominating the online warm-up phase.
 
         Threads and objects frequently share one stamp object (the
         kernel stores the same instance for both endpoints of an event),
         so rebased results are cached per input stamp to preserve that
         sharing - the ``object_stamp is thread_stamp`` fast path in
-        :meth:`observe` depends on it.
-
-        When ``new_components`` is a pure *append* of the current set
-        (what :meth:`ClockComponents.extended` produces: new threads
-        after the old thread block, new objects at the end, relative
-        order preserved) the rebase is three slices and two zero pads
-        per stored vector instead of a per-slot identity lookup - the
-        difference between component growth being free and it dominating
-        the online warm-up phase.
-
-        The cache is keyed by stamp *identity* (``id``), not value:
-        hashing a ``k``-slot tuple per stored stamp would cost more than
-        the rebase itself, and identity is exactly what the cache must
-        preserve.  The input stamps stay referenced by the two stamp
-        dicts (and ``keep``) for the duration, so ids cannot be
-        recycled mid-rebase.
+        :meth:`observe` depends on it.  The cache is keyed by stamp
+        *identity* (``id``), not value: hashing a ``k``-slot tuple per
+        stored stamp would cost more than the rebase itself, and
+        identity is exactly what the cache must preserve.  The input
+        stamps stay referenced by the two stamp dicts (and ``keep``) for
+        the duration, so ids cannot be recycled mid-rebase.
         """
         old = self._components
-        old_order = old.ordered
         old_threads = len(old.thread_components)
         old_size = old.size
-        new_order = new_components.ordered
-        added_threads = (
-            len(new_components.thread_components) - old_threads
-        )
-        object_block = old_threads + added_threads
-        is_append = (
-            added_threads >= 0
-            and new_order[:old_threads] == old_order[:old_threads]
-            and new_order[object_block:object_block + (old_size - old_threads)]
-            == old_order[old_threads:]
-        )
+        added_threads = len(new_components.thread_components) - old_threads
+        thread_pad = (0,) * added_threads
+        object_pad = (0,) * (new_components.size - old_size - added_threads)
         rebased: Dict[int, Timestamp] = {}
         keep: List[Timestamp] = []
-        if is_append:
-            thread_pad = (0,) * added_threads
-            object_pad = (0,) * (new_components.size - old_size - added_threads)
-            # The pad as a relayout (sentinel old_size reads zero), for
-            # re-wrapping unmaterialised projections; built lazily since
-            # most extensions never meet one.
-            pad_relayout: List[Optional[tuple]] = [None]
+        # The pad as a relayout (sentinel old_size reads zero), for
+        # re-wrapping unmaterialised projections; built lazily since most
+        # extensions never meet one.
+        pad_relayout: List[Optional[tuple]] = [None]
 
-            def rebase(stamp: Timestamp) -> Timestamp:
-                cached = rebased.get(id(stamp))
-                if cached is None:
-                    if (
-                        type(stamp) is _ProjectedStamp
-                        and stamp._source is not None
-                    ):
-                        # An unmaterialised projection stays lazy: an
-                        # eager pad here would force it and hand the
-                        # rotation's deferred gather bill to the very
-                        # next component extension.  Chaining keeps the
-                        # extension O(1) per wrapper.
-                        if pad_relayout[0] is None:
-                            pad_relayout[0] = (
-                                _values_gather(
-                                    tuple(range(old_threads))
-                                    + (old_size,) * added_threads
-                                    + tuple(range(old_threads, old_size))
-                                    + (old_size,) * len(object_pad)
-                                ),
-                                old_size,
-                                old_threads,
-                            )
-                        cached = _ProjectedStamp._make(
-                            new_components, stamp, pad_relayout[0]
+        def rebase(stamp: Timestamp) -> Timestamp:
+            cached = rebased.get(id(stamp))
+            if cached is None:
+                if type(stamp) is _ProjectedStamp and stamp._source is not None:
+                    # An unmaterialised projection stays lazy: an eager pad
+                    # here would force it and hand the rotation's deferred
+                    # gather bill to the very next component extension.
+                    # Chaining keeps the extension O(1) per wrapper.
+                    if pad_relayout[0] is None:
+                        pad_relayout[0] = (
+                            _values_gather(
+                                tuple(range(old_threads))
+                                + (old_size,) * added_threads
+                                + tuple(range(old_threads, old_size))
+                                + (old_size,) * len(object_pad)
+                            ),
+                            old_size,
+                            old_threads,
                         )
-                    else:
-                        values = stamp._values
-                        cached = Timestamp._from_trusted(
-                            new_components,
-                            values[:old_threads]
-                            + thread_pad
-                            + values[old_threads:]
-                            + object_pad,
-                        )
-                    rebased[id(stamp)] = cached
-                    keep.append(stamp)
-                return cached
-
-        else:
-            # A non-append layout change (slots permute) takes the
-            # per-slot identity rebase.  Unreachable from
-            # extend_components (ClockComponents.extended always
-            # appends), kept for direct callers.
-            def rebase(stamp: Timestamp) -> Timestamp:
-                cached = rebased.get(id(stamp))
-                if cached is None:
-                    cached = rebase_timestamp(stamp, new_components)
-                    rebased[id(stamp)] = cached
-                    keep.append(stamp)
-                return cached
+                    cached = _ProjectedStamp._make(
+                        new_components, stamp, pad_relayout[0]
+                    )
+                else:
+                    values = stamp._values
+                    cached = Timestamp._from_trusted(
+                        new_components,
+                        values[:old_threads]
+                        + thread_pad
+                        + values[old_threads:]
+                        + object_pad,
+                    )
+                rebased[id(stamp)] = cached
+                keep.append(stamp)
+            return cached
 
         for vertex, stamp in self._thread_stamps.items():
             self._thread_stamps[vertex] = rebase(stamp)

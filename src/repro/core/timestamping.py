@@ -27,7 +27,6 @@ timestamps (that is what Theorem 2 promises is possible).
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -338,49 +337,6 @@ def verify_retimestamping(
                 )
 
 
-# -- rotation strategy selection --------------------------------------------
-#: Rotation strategy names (see :meth:`EpochClock.rotate`).
-DELTA_ROTATION = "delta"
-REPLAY_ROTATION = "replay"
-
-#: Strategies :class:`EpochClock` accepts.  The choice only moves work between the rotation boundary and nothing -
-#: causal verdicts, tokens, retired counts and engine fingerprints are
-#: identical by contract, and the property tests assert it.
-ROTATION_STRATEGIES = (DELTA_ROTATION, REPLAY_ROTATION)
-
-_DEFAULT_ROTATION: Optional[str] = None
-
-
-def resolve_rotation(name: str) -> str:
-    """Validate a rotation strategy name; returns it unchanged."""
-    if name not in ROTATION_STRATEGIES:
-        raise ClockError(
-            f"unknown rotation strategy {name!r}; available strategies: "
-            f"{', '.join(ROTATION_STRATEGIES)}"
-        )
-    return name
-
-
-def default_rotation_name() -> str:
-    """The strategy a rotation-less :class:`EpochClock` uses right now.
-
-    Resolution order: :func:`set_default_rotation`, then the
-    ``REPRO_ROTATION_STRATEGY`` environment variable, then ``"delta"``.
-    """
-    if _DEFAULT_ROTATION is not None:
-        return _DEFAULT_ROTATION
-    env = os.environ.get("REPRO_ROTATION_STRATEGY", "").strip()
-    if env:
-        return resolve_rotation(env)
-    return DELTA_ROTATION
-
-
-def set_default_rotation(name: Optional[str]) -> None:
-    """Install (or with ``None`` clear) the process-default strategy."""
-    global _DEFAULT_ROTATION
-    _DEFAULT_ROTATION = None if name is None else resolve_rotation(name)
-
-
 class EpochClock:
     """Lifecycle-aware timestamping: ``observe`` / ``expire`` / ``rotate``.
 
@@ -400,29 +356,20 @@ class EpochClock:
     *projection* when the rotation is a pure retirement, by full replay
     otherwise (see :meth:`rotate`); with ``check_invariant=True`` every
     rotation replays and runs :func:`verify_retimestamping` before
-    committing.
-
-    ``rotation`` selects the strategy per clock (``"delta"`` /
-    ``"replay"``); ``None`` resolves :func:`default_rotation_name` at
-    each rotation, so :func:`set_default_rotation` /
-    ``REPRO_ROTATION_STRATEGY`` steer rotation-less clocks process-wide.
+    committing.  The clock is always strict: observing an event whose
+    thread and object are both outside the component set raises
+    :class:`~repro.exceptions.ComponentError`.
     """
 
     def __init__(
         self,
         components: Optional[ClockComponents] = None,
-        strict: bool = True,
         check_invariant: bool = False,
-        rotation: Optional[str] = None,
     ) -> None:
         self._kernel = ClockKernel(
-            components if components is not None else ClockComponents(),
-            strict=strict,
+            components if components is not None else ClockComponents()
         )
         self._check_invariant = check_invariant
-        self._rotation = (
-            resolve_rotation(rotation) if rotation is not None else None
-        )
         # token -> (thread, obj); dicts preserve insertion (= stream) order
         # under deletion, which is what rotation's replay relies on.
         self._live_pairs: Dict[int, Tuple[Vertex, Vertex]] = {}
@@ -485,28 +432,6 @@ class EpochClock:
         self._tokens_by_pair.setdefault((thread, obj), deque()).append(token)
         return token
 
-    def observe_batch(self, pairs: Sequence[Tuple[Vertex, Vertex]]) -> List[int]:
-        """Timestamp a chunk of operations; returns their event tokens.
-
-        Equivalent to calling :meth:`observe` per pair (same stamps, same
-        tokens), with the kernel's batch loop doing the per-event work.
-        Lifecycle ticks (:meth:`expire`, :meth:`rotate`) cannot occur
-        *inside* a batch by construction - callers chunk their streams at
-        lifecycle boundaries, as the sharded engine does.
-        """
-        pairs = list(pairs)
-        stamps = self._kernel.timestamp_batch(pairs)
-        tokens: List[int] = []
-        token = self._next_token
-        for pair, stamp in zip(pairs, stamps):
-            self._live_pairs[token] = pair
-            self._live_stamps[token] = stamp
-            self._tokens_by_pair.setdefault(pair, deque()).append(token)
-            tokens.append(token)
-            token += 1
-        self._next_token = token
-        return tokens
-
     def expire(self, thread: Vertex, obj: Vertex) -> int:
         """Expire the *oldest* live occurrence of ``(thread, obj)``.
 
@@ -537,35 +462,34 @@ class EpochClock:
         so no verdict among recorded events can change; only the basis
         widens.  The live ledger is *not* eagerly rewritten: a stamp is
         re-based onto the current component set on first read
-        (:meth:`timestamp`), mirroring the kernel cache's pad-on-read,
-        so warm-up component growth costs ``O(1)`` per extension here
-        instead of ``O(live)``.
+        (:meth:`timestamp`), so warm-up component growth costs ``O(1)``
+        per extension here instead of ``O(live)``.
         """
         self._kernel.extend_components(thread_components, object_components)
 
     def rotate(self, new_components: ClockComponents) -> int:
         """Enter a new epoch: retire/rebuild components, re-stamp the window.
 
-        Two strategies (see the class docstring for how one is chosen):
+        The path is chosen from the rotation itself:
 
-        * ``"replay"`` - the kernel discards all clock state and the
-          live events are replayed in stream order, which both
-          re-timestamps them over ``new_components`` (compacted: retired
-          slots are gone) and rebuilds the per-thread / per-object
-          clocks future events merge from.  ``O(window)`` update-rule
-          applications per rotation - the latency spike ROADMAP item 5
-          charges to epoch boundaries.
-        * ``"delta"`` (the default) - when the rotation is a **pure
-          retirement** (``new_components`` is a subset of the current
-          set *and* no retired component is an endpoint of a live
-          event), the kernel instead projects every live stamp and
-          surviving endpoint clock: retired slots dropped, surviving
-          slots gathered, ``O(live)`` slot moves with no update-rule
-          work (:meth:`ClockKernel.rotate_epoch_delta
-          <repro.core.kernel.ClockKernel.rotate_epoch_delta>`).  Any
-          rotation outside that case silently falls back to replay; the
-          ``clock.rotation.delta`` / ``clock.rotation.replay`` counters
-          record which path ran.
+        * **delta** - taken exactly when the rotation is a *pure
+          retirement* (``new_components`` is a subset of the current
+          set and no retired component is an endpoint of a live event)
+          and ``check_invariant`` is off.  The kernel projects every
+          live stamp and surviving endpoint clock: retired slots
+          dropped, surviving slots gathered, ``O(live)`` slot moves with
+          no update-rule work (:meth:`ClockKernel.rotate_epoch_delta
+          <repro.core.kernel.ClockKernel.rotate_epoch_delta>`).
+        * **replay** - every other rotation.  The kernel discards all
+          clock state and the live events are replayed in stream order,
+          which both re-timestamps them over ``new_components``
+          (compacted: retired slots are gone) and rebuilds the
+          per-thread / per-object clocks future events merge from.
+          ``O(window)`` update-rule applications per rotation - the
+          boundary latency spike the delta path exists to avoid.
+
+        The ``clock.rotation.delta`` / ``clock.rotation.replay`` counters
+        record which path ran.
 
         Projection preserves every causal verdict among live and future
         events: the gate guarantees each live event keeps the component
@@ -575,10 +499,10 @@ class EpochClock:
         influence nothing a replay would have kept.  Projected stamp
         *values* are however not the replayed values (replay
         renormalises to the live window; projection keeps pre-rotation
-        magnitudes), so the strategies are verdict- and token-identical
+        magnitudes), so the two paths are verdict- and token-identical
         but not value-identical - which is why ``check_invariant=True``
-        always forces replay: :func:`verify_retimestamping` is the
-        oracle the property tests compare the delta path against.
+        always replays: :func:`verify_retimestamping` is the oracle the
+        property tests compare the delta path against.
 
         Returns the number of retired components.  With
         ``check_invariant=True`` the re-timestamping invariant is
@@ -587,14 +511,8 @@ class EpochClock:
         driving it as buggy.
         """
         old = self._kernel.components
-        strategy = (
-            self._rotation
-            if self._rotation is not None
-            else default_rotation_name()
-        )
         use_delta = (
-            strategy == DELTA_ROTATION
-            and not self._check_invariant
+            not self._check_invariant
             and new_components.thread_components <= old.thread_components
             and new_components.object_components <= old.object_components
         )

@@ -64,9 +64,12 @@ _SET_BINOPS = (ast.BitAnd, ast.BitOr, ast.Sub, ast.BitXor)
 #: findings are dropped.  The telemetry layer is the one place wall-clock
 #: reads are the charter: ``MetricsRegistry`` anchors every span/export to
 #: a wall epoch, and the determinism contract is enforced one level up
-#: (C206 keeps registry *reads* out of result paths entirely).
+#: (C206 keeps registry *reads* out of result paths entirely).  The
+#: environment-read rule binds library code only: the benchmark harness
+#: and the tests read their own switches (``BENCH_SMOKE``) by design.
 PATH_POLICIES: Dict[str, Tuple[str, ...]] = {
     "D104": ("src/repro/obs/",),
+    "D109": ("benchmarks/", "tests/"),
 }
 
 

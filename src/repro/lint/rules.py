@@ -1,10 +1,11 @@
 """Determinism rules (``D1xx``): static guards for bit-identity.
 
 Each rule encodes one way a Python program silently depends on
-``PYTHONHASHSEED``, wall-clock time, process-global random state, or
-filesystem/scheduler ordering - exactly the inputs the engine's SHA-256
-fingerprint contract promises to be independent of.  The rules are the
-static mirror of the dynamic guarantees:
+``PYTHONHASHSEED``, wall-clock time, process-global random state, the
+process environment, or filesystem/scheduler ordering - exactly the
+inputs the engine's SHA-256 fingerprint contract promises to be
+independent of.  The rules are the static mirror of the dynamic
+guarantees:
 
 * the fingerprint test proves ``--workers N`` equals ``--workers 1`` for runs
   that happened; these rules reject the *code shapes* that would break it;
@@ -77,6 +78,8 @@ _WALL_CLOCK_CALLS = frozenset(
 
 _LISTING_CALLS = frozenset({"os.listdir", "os.scandir", "glob.glob", "glob.iglob"})
 _LISTING_METHODS = frozenset({"glob", "rglob", "iterdir"})
+
+_ENVIRONMENT_READS = frozenset({"os.environ", "os.getenv"})
 
 _UNORDERED_POOL_CALLS = frozenset(
     {"concurrent.futures.as_completed", "asyncio.as_completed"}
@@ -476,6 +479,41 @@ class SetInOutputRule(Rule):
                     )
 
 
+class EnvironmentReadRule(Rule):
+    """Library code must not read the process environment.
+
+    An environment variable is a configuration channel that bypasses
+    the CLI, :class:`~repro.engine.runner.EngineConfig` and its
+    signature: two runs with identical arguments can take different
+    code paths, and nothing in the result or the checkpoint records
+    why.  Every knob the library honours is an explicit parameter.
+
+    Flags any ``os.environ`` reference and ``os.getenv`` (through
+    import aliases).  A path policy drops its findings under
+    ``benchmarks/`` and ``tests/``, which read switches such as
+    ``BENCH_SMOKE`` by design.
+    """
+
+    id = "D109"
+    name = "environment-read"
+    summary = "environment read (os.environ/os.getenv) in library code"
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, (ast.Attribute, ast.Name)):
+                continue
+            dotted = ctx.dotted_name(node)
+            if dotted in _ENVIRONMENT_READS:
+                yield _finding(
+                    ctx,
+                    node,
+                    self,
+                    f"{dotted} reads the process environment; take the "
+                    "setting as an explicit parameter (CLI flag or "
+                    "EngineConfig field) instead",
+                )
+
+
 DETERMINISM_RULES = (
     SetIterationRule,
     BuiltinHashRule,
@@ -485,4 +523,5 @@ DETERMINISM_RULES = (
     UnorderedPoolRule,
     ArbitrarySetElementRule,
     SetInOutputRule,
+    EnvironmentReadRule,
 )

@@ -41,10 +41,11 @@ through the lifecycle protocol of :class:`~repro.online.base.OnlineMechanism`
 :class:`LifecycleClockDriver` is the timestamping tie-in: it couples any
 lifecycle mechanism with an :class:`~repro.core.timestamping.EpochClock`,
 extending the kernel when the mechanism appends a component and rotating
-the epoch (replay + optional invariant check) whenever the mechanism
-retires or rebuilds.  The property-test suite drives it to prove that
-adaptive mechanisms preserve happened-before / concurrent verdicts for
-every live-window event pair across retirements and rotations.
+the epoch (delta projection or replay; the clock picks which) whenever
+the mechanism retires or rebuilds.  The property-test suite drives it to
+prove that adaptive mechanisms preserve happened-before / concurrent
+verdicts for every live-window event pair across retirements and
+rotations.
 """
 
 from __future__ import annotations
@@ -481,8 +482,7 @@ class LifecycleClockDriver:
       re-stamping the live window in the new epoch's basis - by slot
       projection when the rotation is a pure retirement, by replay
       otherwise (see :meth:`EpochClock.rotate
-      <repro.core.timestamping.EpochClock.rotate>`; ``rotation=``
-      forces a strategy per driver).
+      <repro.core.timestamping.EpochClock.rotate>`).
 
     With ``check_invariant=True`` every rotation replays and proves the
     re-timestamping invariant (verdict preservation over all live pairs)
@@ -493,7 +493,6 @@ class LifecycleClockDriver:
         self,
         mechanism: OnlineMechanism,
         check_invariant: bool = False,
-        rotation: Optional[str] = None,
     ) -> None:
         if mechanism.events_seen:
             raise OnlineMechanismError(
@@ -501,9 +500,7 @@ class LifecycleClockDriver:
             )
         self._mechanism = mechanism
         self._clock = EpochClock(
-            mechanism.components(),
-            check_invariant=check_invariant,
-            rotation=rotation,
+            mechanism.components(), check_invariant=check_invariant
         )
 
     # -- introspection ------------------------------------------------------
@@ -526,11 +523,11 @@ class LifecycleClockDriver:
         """Rotate the clock, observing the latency when telemetry is on.
 
         Rotation re-stamps the live window - ``O(live)`` projection on
-        the delta path, an ``O(window)`` replay otherwise - and was the
-        driver's dominant boundary cost (ROADMAP item 5's p99 target),
-        so every rotation goes through this one timed funnel; the
-        ``clock.rotation.delta`` / ``clock.rotation.replay`` counters
-        say which path each rotation took.  The measurement changes
+        the delta path, an ``O(window)`` replay otherwise - and is the
+        driver's dominant boundary cost (``bench_epoch_rotation.py``
+        gates its p99), so every rotation goes through this one timed
+        funnel; the ``clock.rotation.delta`` / ``clock.rotation.replay``
+        counters say which path each rotation took.  The measurement changes
         nothing the clock computes: the registry, when installed, only
         *receives* the duration.
         """

@@ -282,22 +282,6 @@ class TestKernelBatchBitIdentity:
         b = fold_stamp_values(fold_stamp_values(0, 3, 4), 1, 2)
         assert a != b
 
-    def test_epoch_clock_observe_batch(self):
-        from repro.core.timestamping import EpochClock
-
-        components = ClockComponents(thread_components=["T0", "T1"])
-        reference = EpochClock(components)
-        pairs = [("T0", "O0"), ("T1", "O0"), ("T0", "O1")]
-        ref_tokens = [reference.observe(t, o) for t, o in pairs]
-        clock = EpochClock(components)
-        tokens = clock.observe_batch(pairs)
-        assert tokens == ref_tokens
-        for token in tokens:
-            assert (
-                clock.timestamp(token).values
-                == reference.timestamp(token).values
-            )
-
 
 # ---------------------------------------------------------------------------
 # Engine stamp digests
@@ -509,8 +493,8 @@ class TestCli:
         ],
     )
     def test_kernel_path_options_do_not_exist(self, argv, capsys):
-        # One kernel loop, one event loop per driver and one rotation
-        # default: nothing to select.
+        # One kernel loop, one event loop per driver, and rotation
+        # paths the clock picks itself: nothing to select.
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2

@@ -108,6 +108,9 @@ class TestExtension:
         assert extended.size == 4
         assert components.size == 2  # original untouched
         assert "T2" in extended and "O2" in extended
+        # A pure append: new threads after the old thread block, new
+        # objects at the end.  The kernel's count-based pads rely on it.
+        assert extended.ordered == ("T1", "T2", "O1", "O2")
 
     def test_extended_ignores_existing(self):
         components = ClockComponents(["T1"], ["O1"])

@@ -6,7 +6,8 @@ Covers the three new kernel capabilities - append-only component growth
 EpochClock ledger semantics (FIFO expiry per pair, stable tokens across
 rotations, causality queries on live events), and the batch entry
 points at those lifecycle edges (growth and rotation between batches,
-stamp sharing at write-back, pickle round-trips mid-stream).
+stamp sharing at write-back, pickle round-trips mid-stream), and the
+rotation path (delta or replay) the clock picks for each rotation.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 from repro.core import ClockComponents, ClockKernel, EpochClock, Timestamp, ordering
 from repro.core.timestamping import verify_retimestamping
 from repro.exceptions import ClockError, ComponentError, RetimestampingError
+from repro.obs.registry import MetricsRegistry, install as obs_install
+from repro.online.adaptive import LifecycleClockDriver, WindowedPopularityMechanism
 
 
 class TestKernelExtension:
@@ -308,3 +311,83 @@ class TestEpochClock:
         assert clock.relation(a, b) == before
         c = clock.observe("T3", "O1")  # covered by the new object component
         assert clock.relation(b, c) == "before"
+
+
+class TestRotationPathChoice:
+    """The clock picks delta or replay from the rotation alone.
+
+    The ``clock.rotation.delta`` / ``clock.rotation.replay`` counters
+    are the observable record of which path ran, so a gate that sent
+    every rotation to replay (or projected a rotation it must replay)
+    fails here rather than only in the benchmark harness.
+    """
+
+    @staticmethod
+    def counted(run):
+        registry = MetricsRegistry(origin="test-rotation-path")
+        previous = obs_install(registry)
+        try:
+            run()
+        finally:
+            obs_install(previous)
+        counters = dict(registry.counters())
+        return (
+            counters.get("clock.rotation.delta", 0),
+            counters.get("clock.rotation.replay", 0),
+        )
+
+    @staticmethod
+    def churn(check_invariant):
+        """A windowed-popularity churn stream: ID space far above the
+        window, so expiries retire dead endpoints (pure retirements)."""
+        rng = random.Random(20_190_707)
+        driver = LifecycleClockDriver(
+            WindowedPopularityMechanism(), check_invariant=check_invariant
+        )
+        live = []
+        for _ in range(120):
+            pair = (f"t{rng.randrange(40)}", f"o{rng.randrange(40)}")
+            driver.observe(*pair)
+            live.append(pair)
+            if len(live) > 8:
+                driver.expire(*live.pop(0))
+
+    def test_pure_retirements_take_the_delta_path(self):
+        delta, replay = self.counted(lambda: self.churn(False))
+        assert delta > 0
+        assert replay == 0
+
+    def test_check_invariant_replays_every_rotation(self):
+        delta, replay = self.counted(lambda: self.churn(True))
+        assert delta == 0
+        assert replay > 0
+        # Same stream, same rotations: only the path differs.
+        assert replay == self.counted(lambda: self.churn(False))[0]
+
+    @pytest.mark.parametrize(
+        "new_threads",
+        [["T1", "T3"], ["T2"]],
+        ids=["adds-component", "retires-live-endpoint"],
+    )
+    def test_other_rotations_replay(self, new_threads):
+        clock = EpochClock(ClockComponents(["T1", "T2"], ["O1"]))
+        clock.observe("T1", "O1")
+        clock.observe("T2", "O1")
+        new_components = ClockComponents(new_threads, ["O1"])
+        assert self.counted(lambda: clock.rotate(new_components)) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: EpochClock(ClockComponents(["T1"]), rotation="delta"),
+            lambda: EpochClock(ClockComponents(["T1"]), strict=False),
+        ],
+        ids=["clock-rotation", "clock-strict"],
+    )
+    def test_clock_takes_no_path_knobs(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_driver_takes_no_rotation_knob(self):
+        with pytest.raises(TypeError):
+            LifecycleClockDriver(WindowedPopularityMechanism(), rotation="replay")

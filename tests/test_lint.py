@@ -547,7 +547,7 @@ class TestScenarioSeed:
 
 def lint_at(tmp_path, monkeypatch, relpath, source, select=None):
     """Lint one snippet *at a given repo-relative path* (for path-scoped
-    rules: C206's result-path prefixes, the D104 obs carve-out)."""
+    rules: C206's result-path prefixes, the D104 and D109 carve-outs)."""
     monkeypatch.chdir(tmp_path)
     path = tmp_path / relpath
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -708,6 +708,44 @@ class TestWallClockPathPolicy:
             select={"D104"},
         )
         assert rule_ids(findings) == ["D104"]
+
+
+# ---------------------------------------------------------------------------
+# D109 - environment reads in library code
+# ---------------------------------------------------------------------------
+ENVIRONMENT_READS = """
+    import os
+    from os import getenv
+
+    def strategy():
+        return os.environ.get("REPRO_STRATEGY") or getenv("REPRO_FALLBACK")
+    """
+
+
+class TestEnvironmentRead:
+    def test_environment_reads_in_src_flagged(self, tmp_path, monkeypatch):
+        findings = lint_at(
+            tmp_path,
+            monkeypatch,
+            "src/repro/core/timestamping.py",
+            ENVIRONMENT_READS,
+            select={"D109"},
+        )
+        assert rule_ids(findings) == ["D109", "D109"]
+        assert [f.message.split()[0] for f in sorted(findings)] == [
+            "os.environ",
+            "os.getenv",
+        ]
+
+    def test_benchmark_harness_exempt(self, tmp_path, monkeypatch):
+        findings = lint_at(
+            tmp_path,
+            monkeypatch,
+            "benchmarks/_common.py",
+            ENVIRONMENT_READS,
+            select={"D109"},
+        )
+        assert findings == []
 
 
 # ---------------------------------------------------------------------------
