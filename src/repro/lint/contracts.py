@@ -6,11 +6,11 @@ static form of a contract that already has a dynamic enforcement story
 (property tests, fingerprint checks) and a history of being easy to
 violate silently:
 
-* ``C201`` - the hoisted ``observe_batch`` fast path must keep the
-  ``super()`` fallback guard, or subclass hook overrides are silently
-  skipped in batched runs (``observe_batch`` stops being bit-identical
-  to the ``observe`` loop, the engine's run-batched loop stops matching
-  the simulator's per-event oracle);
+* ``C201`` - an ``observe_batch`` override in a mechanism subclass
+  must keep the ``super()`` fallback guard, or subclass hook overrides
+  are silently skipped in batched runs (``observe_batch`` stops being
+  bit-identical to the ``observe`` loop, the engine's run-batched loop
+  stops matching the simulator's per-event oracle);
 * ``C203`` - every ``EngineConfig`` field needs an explicit decision
   about run-signature membership (the ``timestamps``-in-signature class
   of bug from PR 5);
@@ -61,14 +61,16 @@ class MechanismBatchGuardRule(Rule):
     """A hoisted ``observe_batch`` must keep its ``super()`` fallback guard.
 
     ``OnlineMechanism.observe_batch`` promises bit-identity with the
-    per-event ``observe`` loop.  Mechanisms that hoist the loop for speed
-    (popularity, naive, hybrid) keep that promise for *subclasses* with a
-    runtime guard: if the concrete class overrides ``observe``,
-    ``_choose`` or ``_on_observe``, the hoisted body would skip those
-    hooks, so the guard routes back to ``super().observe_batch(pairs)``
-    (the faithful loop).  Dropping the guard is invisible in tests of the
-    class itself and only breaks when someone later subclasses it - the
-    worst kind of contract violation.
+    per-event ``observe`` loop.  It is the one hoisted loop: it calls
+    ``_choose`` for uncovered events and falls back to looping over
+    ``observe`` when the concrete class overrides ``observe`` or
+    ``_on_observe``.  No mechanism overrides it today.  A future
+    override that hoists the loop again must keep that promise for
+    *subclasses* with the same runtime guard, routing back to
+    ``super().observe_batch(pairs)`` (the faithful loop) when a hook it
+    inlines is overridden.  Dropping the guard is invisible in tests of
+    the class itself and only breaks when someone later subclasses it -
+    the worst kind of contract violation.
 
     The rule requires every ``observe_batch`` override in an
     ``*Mechanism`` subclass to call ``super().observe_batch(...)``

@@ -175,31 +175,22 @@ class OnlineMechanism(abc.ABC):
 
         if thread in self._thread_components or obj in self._object_components:
             return None
+        return self._decide(event_index, thread, obj)
 
+    def _decide(self, event_index: int, thread: Vertex, obj: Vertex) -> Vertex:
+        """Add the endpoint :meth:`_choose` picks for an uncovered event; log it."""
         choice = self._choose(thread, obj)
         if choice == THREAD:
             component = thread
-            self._thread_components.add(thread)
         elif choice == OBJECT:
             component = obj
-            self._object_components.add(obj)
         else:
             raise OnlineMechanismError(
                 f"{type(self).__name__}._choose returned {choice!r}, "
                 f"expected {THREAD!r} or {OBJECT!r}"
             )
-        self._component_order.append((choice, component))
-        if len(self._component_order) > self._peak_size:
-            self._peak_size = len(self._component_order)
-        self._decisions.append(
-            Decision(
-                event_index=event_index,
-                thread=thread,
-                obj=obj,
-                choice=choice,
-                component=component,
-            )
-        )
+        self._add_component(choice, component)
+        self._decisions.append(Decision(event_index, thread, obj, choice, component))
         return component
 
     def expire(self, thread: Vertex, obj: Vertex) -> None:
@@ -249,10 +240,10 @@ class OnlineMechanism(abc.ABC):
         )
 
     def _add_component(self, kind: str, component: Vertex) -> None:
-        """Adopt a component outside the per-event decision path.
+        """Adopt a component and raise the peak size; logs no :class:`Decision`.
 
-        Used by epoch-rebuilding mechanisms; unlike :meth:`observe` it
-        logs no :class:`Decision` (there is no triggering event).
+        :meth:`_decide` logs the decision around it; epoch-rebuilding
+        mechanisms call it directly (there is no triggering event).
         """
         if kind == THREAD:
             if component in self._thread_components:
@@ -280,18 +271,45 @@ class OnlineMechanism(abc.ABC):
         to calling :meth:`observe` once per pair, in order - same
         decisions, same component order, same revealed graph, same
         counters (the property-test suite asserts this for every
-        registered mechanism, including the stochastic ones).  The base
-        implementation simply loops; mechanisms with a pure per-event
-        policy (naive / popularity / hybrid) override it with a hoisted
-        inner loop that skips the per-event method dispatch.
+        registered mechanism, including the stochastic ones).
+
+        Every mechanism whose policy lives in :meth:`_choose` alone gets
+        one hoisted loop: covered events cost one graph update and one
+        membership check, and only uncovered events dispatch to
+        :meth:`_decide` (``_events_seen`` is written back first because
+        hybrid records its switch point from it).  A class that
+        overrides :meth:`observe` or :meth:`_on_observe` loops over
+        :meth:`observe` instead, so its hooks always run.
         """
-        observe = self.observe
+        cls = type(self)
         order = self._component_order
         sizes: List[int] = []
         append = sizes.append
-        for thread, obj in pairs:
-            observe(thread, obj)
-            append(len(order))
+        if (
+            cls.observe is not OnlineMechanism.observe
+            or cls._on_observe is not OnlineMechanism._on_observe
+        ):
+            observe = self.observe
+            for thread, obj in pairs:
+                observe(thread, obj)
+                append(len(order))
+            return sizes
+        add_edge = self._graph.add_edge
+        thread_components = self._thread_components
+        object_components = self._object_components
+        decide = self._decide
+        events_seen = self._events_seen
+        try:
+            for thread, obj in pairs:
+                add_edge(thread, obj)
+                events_seen += 1
+                if thread not in thread_components and obj not in object_components:
+                    self._events_seen = events_seen
+                    decide(events_seen - 1, thread, obj)
+                append(len(order))
+        finally:
+            # Runs also when _choose raises, so events_seen matches observe's.
+            self._events_seen = events_seen
         return sizes
 
     def observe_all(self, pairs) -> "OnlineMechanism":

@@ -159,6 +159,70 @@ class TestObserveBatchBitIdentity:
             mechanism.observe_batch([("T0", "O0"), ("T1", "O0")])
             assert calls == [("T0", "O0"), ("T1", "O0")], base.__name__
 
+    def test_choose_only_subclass_takes_hoisted_loop(self):
+        """Overriding only _choose keeps the hoisted loop, and its result."""
+        from repro.online.base import OBJECT
+        from repro.online.popularity import PopularityMechanism
+
+        class ObjectSide(PopularityMechanism):
+            def _choose(self, thread, obj):
+                return OBJECT
+
+        pairs = [("T0", "O0"), ("T1", "O0"), ("T1", "O1"), ("T2", "O2")]
+        reference = ObjectSide()
+        ref_sizes = []
+        for thread, obj in pairs:
+            reference.observe(thread, obj)
+            ref_sizes.append(reference.clock_size)
+
+        batched = ObjectSide()
+        per_event_calls = []
+
+        def spy(thread, obj):  # shadows the method on this instance only
+            per_event_calls.append((thread, obj))
+            return ObjectSide.observe(batched, thread, obj)
+
+        batched.observe = spy
+        assert batched.observe_batch(pairs) == ref_sizes
+        assert per_event_calls == []
+        assert mechanism_state(batched) == mechanism_state(reference)
+
+    def test_failed_choose_leaves_per_event_state(self):
+        """A _choose that raises mid-batch leaves observe's counters."""
+        from repro.exceptions import OnlineMechanismError
+        from repro.online.hybrid import HybridMechanism
+
+        class BogusSecond(HybridMechanism):
+            def __init__(self):
+                super().__init__()
+                self.chosen = 0
+
+            def _choose(self, thread, obj):
+                self.chosen += 1
+                if self.chosen == 2:
+                    return "bogus"
+                return super()._choose(thread, obj)
+
+        pairs = [("T0", "O0"), ("T1", "O1"), ("T2", "O2")]
+        reference = BogusSecond()
+        with pytest.raises(OnlineMechanismError):
+            for thread, obj in pairs:
+                reference.observe(thread, obj)
+        batched = BogusSecond()
+        with pytest.raises(OnlineMechanismError):
+            batched.observe_batch(pairs)
+
+        def counters(mechanism):
+            return (
+                mechanism.events_seen,
+                mechanism.peak_size,
+                mechanism.clock_size,
+                mechanism.decisions,
+            )
+
+        assert counters(reference) == (2, 1, 1, reference.decisions)
+        assert counters(batched) == counters(reference)
+
     def test_decision_accessors(self):
         from repro.online.naive import NaiveMechanism
 
